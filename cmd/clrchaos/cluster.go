@@ -18,13 +18,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 	"time"
 
 	"clrdse/internal/fleet"
 	"clrdse/internal/fleet/client"
 	"clrdse/internal/fleet/fleettest"
-	"clrdse/internal/rng"
 	"clrdse/internal/runtime"
 )
 
@@ -39,172 +37,63 @@ type clusterSoakParams struct {
 	attemptT time.Duration
 }
 
-// clusterEvent is one scheduled membership change.
-type clusterEvent struct {
-	round   int
-	node    int
-	restart bool
-}
-
-// clusterSchedule derives the kill/restart plan from the seed: two
-// kill-then-restart disruptions at seeded rounds against seeded nodes
-// (never node 0, so early ring fetches have a stable first target).
-func clusterSchedule(seed int64, rounds, nodes int) []clusterEvent {
-	src := rng.New(seed)
-	quarter := rounds / 4
-	if quarter < 1 {
-		quarter = 1
-	}
-	k1 := 1 + src.Intn(nodes-1)
-	r1 := 1 + src.Intn(quarter)
-	r1back := r1 + 2 + src.Intn(quarter)
-	k2 := 1 + src.Intn(nodes-1)
-	r2 := r1back + 1 + src.Intn(quarter)
-	r2back := r2 + 1 + src.Intn(maxInt(rounds-r2-1, 1))
-	evs := []clusterEvent{{round: r1, node: k1}}
-	if r1back < rounds {
-		evs = append(evs, clusterEvent{round: r1back, node: k1, restart: true})
-	}
-	if r1back < rounds && r2 < rounds {
-		evs = append(evs, clusterEvent{round: r2, node: k2})
-		if r2back < rounds {
-			evs = append(evs, clusterEvent{round: r2back, node: k2, restart: true})
-		}
-	}
-	return evs
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// runClusterPass drives the fleet through lockstep rounds against the
-// cluster, applying membership events at the barriers, and returns
-// per-device canonical decision transcripts.
-func runClusterPass(clus *fleettest.Cluster, c *client.Client, scripts [][]runtime.QoSSpec, events []clusterEvent) ([][]string, error) {
-	ctx := context.Background()
-	devices, rounds := len(scripts), len(scripts[0])
-	out := make([][]string, devices)
-	for d := range out {
-		out[d] = make([]string, rounds)
-	}
-	for r := 0; r < rounds; r++ {
-		for _, ev := range events {
-			if ev.round != r {
-				continue
-			}
-			var err error
-			if ev.restart {
-				err = clus.Restart(ctx, ev.node)
-			} else {
-				err = clus.Kill(ctx, ev.node)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("round %d membership event on node %d: %w", r, ev.node, err)
-			}
-		}
-		var wg sync.WaitGroup
-		errs := make([]error, devices)
-		for d := 0; d < devices; d++ {
-			wg.Add(1)
-			go func(d int) {
-				defer wg.Done()
-				spec := scripts[d][r]
-				dec, err := c.QoS(ctx, fmt.Sprintf("soak-%d", d), uint64(r+1),
-					fleet.QoSSpecJSON{SMaxMs: spec.SMaxMs, FMin: spec.FMin})
-				if err != nil {
-					errs[d] = fmt.Errorf("device %d round %d: %w", d, r, err)
-					return
-				}
-				out[d][r] = canonical(dec)
-			}(d)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
-}
-
 // runClusterSoak executes reference and cluster passes and checks the
-// invariants, returning the violation count.
+// invariants, reporting every violation.
 func runClusterSoak(p clusterSoakParams, report func(format string, args ...any)) error {
 	scripts := make([][]runtime.QoSSpec, p.devices)
 	for d := range scripts {
 		scripts[d] = fleettest.Script(p.dbs[0].DB, p.specSeed+int64(d), p.events)
 	}
-	mkClient := func(urls []string) *client.Client {
-		return client.New(client.Config{
-			Targets:        urls,
-			MaxAttempts:    p.attempts,
-			AttemptTimeout: p.attemptT,
-			JitterSeed:     p.specSeed,
-			// Node kills are the point; eager breakers would only slow
-			// the re-resolution under test.
-			BreakerThreshold: 1 << 20,
-		})
-	}
-	register := func(c *client.Client) error {
-		ctx := context.Background()
-		boot := fleettest.LooseSpec(p.dbs[0].DB)
-		for d := 0; d < p.devices; d++ {
-			_, err := c.Register(ctx, fleet.RegisterRequest{
-				ID:       fmt.Sprintf("soak-%d", d),
-				Database: p.dbs[0].Name,
-				PRC:      0.5,
-				Gamma:    0.9,
-				Trigger:  "on-violation",
-				Initial:  fleet.QoSSpecJSON{SMaxMs: boot.SMaxMs, FMin: boot.FMin},
-			})
-			if err != nil {
-				return fmt.Errorf("register soak-%d: %w", d, err)
-			}
+	ctx := context.Background()
+	// boot starts a cluster and registers the fleet through a fresh
+	// ring-aware client.
+	boot := func(nodes int) (*fleettest.Cluster, *client.Client, error) {
+		clus, err := fleettest.NewCluster(fleettest.ClusterOptions{Nodes: nodes, Databases: p.dbs})
+		if err != nil {
+			return nil, nil, err
 		}
-		return nil
+		c := client.New(client.Config{
+			Targets:          clus.URLs(),
+			MaxAttempts:      p.attempts,
+			AttemptTimeout:   p.attemptT,
+			JitterSeed:       p.specSeed,
+			BreakerThreshold: 1 << 20, // see fleettest.SoakClient
+		})
+		if err := c.RefreshRing(ctx); err != nil {
+			clus.Close()
+			return nil, nil, err
+		}
+		if err := fleettest.RegisterSoakFleet(ctx, c, p.dbs[0], p.devices); err != nil {
+			clus.Close()
+			return nil, nil, err
+		}
+		return clus, c, nil
 	}
 
-	ref, err := fleettest.NewCluster(fleettest.ClusterOptions{Nodes: 1, Databases: p.dbs})
+	ref, refClient, err := boot(1)
 	if err != nil {
 		return err
 	}
 	defer ref.Close()
-	refClient := mkClient(ref.URLs())
-	if err := register(refClient); err != nil {
-		return err
-	}
-	want, err := runClusterPass(ref, refClient, scripts, nil)
+	want, err := ref.SoakPass(ctx, refClient, scripts, nil)
 	if err != nil {
 		return fmt.Errorf("reference pass: %w", err)
 	}
-
-	clus, err := fleettest.NewCluster(fleettest.ClusterOptions{Nodes: p.nodes, Databases: p.dbs})
+	clus, c, err := boot(p.nodes)
 	if err != nil {
 		return err
 	}
 	defer clus.Close()
-	c := mkClient(clus.URLs())
-	if err := c.RefreshRing(context.Background()); err != nil {
-		return err
-	}
-	if err := register(c); err != nil {
-		return err
-	}
-	schedule := clusterSchedule(p.killSeed, p.events, p.nodes)
+	schedule := fleettest.SoakSchedule(p.killSeed, p.events, p.nodes)
 	fmt.Printf("membership schedule (seed %d):\n", p.killSeed)
 	for _, ev := range schedule {
 		verb := "kill"
-		if ev.restart {
+		if ev.Restart {
 			verb = "restart"
 		}
-		fmt.Printf("  round %-3d %s node-%d\n", ev.round, verb, ev.node)
+		fmt.Printf("  round %-3d %s node-%d\n", ev.Round, verb, ev.Node)
 	}
-	got, err := runClusterPass(clus, c, scripts, schedule)
+	got, err := clus.SoakPass(ctx, c, scripts, schedule)
 	if err != nil {
 		return fmt.Errorf("cluster pass: %w", err)
 	}
@@ -228,7 +117,7 @@ func runClusterSoak(p clusterSoakParams, report func(format string, args ...any)
 		reg := cn.Srv.Registry()
 		total += reg.Len()
 		for d := 0; d < p.devices; d++ {
-			if info, err := reg.Get(fmt.Sprintf("soak-%d", d)); err == nil {
+			if info, err := reg.Get(fleettest.SoakDeviceID(d)); err == nil {
 				owned[d]++
 				if info.Stats.Decisions != int64(p.events) {
 					report("device %d on %s decided %d of %d events", d, cn.ID, info.Stats.Decisions, p.events)
@@ -266,7 +155,7 @@ func runClusterSoak(p clusterSoakParams, report func(format string, args ...any)
 	}
 	for d := 0; d < p.devices; d++ {
 		for i := 1; i <= p.events; i++ {
-			key := fmt.Sprintf("soak-%d/%d", d, i)
+			key := fmt.Sprintf("%s/%d", fleettest.SoakDeviceID(d), i)
 			if n := perSeq[key]; n != 1 {
 				report("union journal has %d distinct decisions for %s, want exactly 1", n, key)
 			}

@@ -17,35 +17,32 @@ func TestClusterSchedule(t *testing.T) {
 		rounds int
 		nodes  int
 	}{{7, 24, 3}, {137, 10, 3}, {1, 3, 2}, {99, 40, 5}} {
-		evs := clusterSchedule(dims.seed, dims.rounds, dims.nodes)
+		evs := fleettest.SoakSchedule(dims.seed, dims.rounds, dims.nodes)
 		if len(evs) == 0 {
 			t.Fatalf("seed %d: empty schedule", dims.seed)
 		}
 		down := map[int]bool{}
 		lastRound := -1
 		for _, ev := range evs {
-			if ev.node <= 0 || ev.node >= dims.nodes {
-				t.Fatalf("seed %d: event on node %d outside (0,%d)", dims.seed, ev.node, dims.nodes)
+			if ev.Node <= 0 || ev.Node >= dims.nodes {
+				t.Fatalf("seed %d: event on node %d outside (0,%d)", dims.seed, ev.Node, dims.nodes)
 			}
-			if ev.round < 0 || ev.round >= dims.rounds {
-				t.Fatalf("seed %d: event at round %d outside [0,%d)", dims.seed, ev.round, dims.rounds)
+			if ev.Round < 0 || ev.Round >= dims.rounds {
+				t.Fatalf("seed %d: event at round %d outside [0,%d)", dims.seed, ev.Round, dims.rounds)
 			}
-			if ev.round < lastRound {
+			if ev.Round < lastRound {
 				t.Fatalf("seed %d: schedule out of order", dims.seed)
 			}
-			lastRound = ev.round
-			if ev.restart && !down[ev.node] {
-				t.Fatalf("seed %d: restart of node %d that was never killed", dims.seed, ev.node)
+			lastRound = ev.Round
+			if ev.Restart && !down[ev.Node] {
+				t.Fatalf("seed %d: restart of node %d that was never killed", dims.seed, ev.Node)
 			}
-			down[ev.node] = !ev.restart
+			down[ev.Node] = !ev.Restart
 		}
-		again := clusterSchedule(dims.seed, dims.rounds, dims.nodes)
+		again := fleettest.SoakSchedule(dims.seed, dims.rounds, dims.nodes)
 		if fmt.Sprint(evs) != fmt.Sprint(again) {
 			t.Fatalf("seed %d: schedule not reproducible", dims.seed)
 		}
-	}
-	if maxInt(3, 5) != 5 || maxInt(5, 3) != 5 {
-		t.Fatal("maxInt broken")
 	}
 }
 

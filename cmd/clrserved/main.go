@@ -253,9 +253,8 @@ func main() {
 				},
 				Seed: *seed,
 			},
-			Interval:  *evolveIv,
 			Threshold: *evolveThr,
-			Logger:    log,
+			Loop:      fleet.Loop{Interval: *evolveIv, Logger: log},
 		}
 		if node != nil {
 			// In a cluster a handoff bundle is only importable at the
@@ -276,8 +275,7 @@ func main() {
 			Database: "red",
 			Gamma:    *cohortGamma,
 			Schedule: cohort.Schedule{Seed: *seed, BaseEvents: *cohortEpoch},
-			Interval: *cohortIv,
-			Logger:   log,
+			Loop:     fleet.Loop{Interval: *cohortIv, Logger: log},
 		}
 		if node != nil {
 			// A value table seeds agents fleet-wide, so no node publishes

@@ -10,7 +10,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math"
 
 	clr "clrdse"
 )
@@ -39,13 +38,7 @@ func main() {
 
 	// Deployment (on the target): boot the manager into the initial
 	// operating requirements.
-	minS, maxS, minF, maxF := math.Inf(1), 0.0, 1.0, 0.0
-	for _, p := range db.Points {
-		minS = math.Min(minS, p.MakespanMs)
-		maxS = math.Max(maxS, p.MakespanMs)
-		minF = math.Min(minF, p.Reliability)
-		maxF = math.Max(maxF, p.Reliability)
-	}
+	minS, maxS, minF, maxF := db.Envelope()
 	mgr, err := clr.NewManager(clr.ManagerParams{
 		DB:      db,
 		Space:   sys.Problem.Space,

@@ -41,14 +41,9 @@ func main() {
 	fmt.Printf("mission database: %d stored configurations\n", db.Len())
 
 	// Derive the mission regimes from the database's QoS envelope.
-	minS, maxS := math.Inf(1), 0.0
-	minF, maxF := 1.0, 0.0
+	minS, maxS, minF, maxF := db.Envelope()
 	minJ := math.Inf(1)
 	for _, p := range db.Points {
-		minS = math.Min(minS, p.MakespanMs)
-		maxS = math.Max(maxS, p.MakespanMs)
-		minF = math.Min(minF, p.Reliability)
-		maxF = math.Max(maxF, p.Reliability)
 		minJ = math.Min(minJ, p.EnergyMJ)
 	}
 	spec := func(sMax, fMin float64) clr.QoSModel {

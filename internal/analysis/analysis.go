@@ -261,3 +261,28 @@ func IsPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool 
 	f := FuncOf(info, call)
 	return f != nil && f.Pkg() != nil && f.Pkg().Path() == pkgPath && f.Name() == name && f.Type().(*types.Signature).Recv() == nil
 }
+
+// IsNamed reports whether t is the named type pkgPath.name.
+func IsNamed(t types.Type, pkgPath, name string) bool {
+	n, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := n.Obj()
+	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
+}
+
+// HasCtxSource reports whether a function signature provides a
+// context source: a context.Context parameter or an *http.Request.
+func HasCtxSource(info *types.Info, ft *ast.FuncType) bool {
+	if ft.Params == nil {
+		return false
+	}
+	for _, field := range ft.Params.List {
+		t := info.TypeOf(field.Type)
+		if p, ok := t.(*types.Pointer); ok && IsNamed(p.Elem(), "net/http", "Request") || IsNamed(t, "context", "Context") {
+			return true
+		}
+	}
+	return false
+}

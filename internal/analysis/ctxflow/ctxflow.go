@@ -45,7 +45,7 @@ func run(pass *analysis.Pass) error {
 // walkFunc scans one function body; ctxAvail reports whether any
 // enclosing function already provides a context.
 func walkFunc(pass *analysis.Pass, ft *ast.FuncType, body *ast.BlockStmt, ctxAvail bool) {
-	avail := ctxAvail || hasCtxSource(pass, ft)
+	avail := ctxAvail || analysis.HasCtxSource(pass.TypesInfo, ft)
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.FuncLit:
@@ -58,24 +58,6 @@ func walkFunc(pass *analysis.Pass, ft *ast.FuncType, body *ast.BlockStmt, ctxAva
 		}
 		return true
 	})
-}
-
-// hasCtxSource reports whether the signature provides a context: a
-// context.Context parameter or an *http.Request.
-func hasCtxSource(pass *analysis.Pass, ft *ast.FuncType) bool {
-	if ft.Params == nil {
-		return false
-	}
-	for _, field := range ft.Params.List {
-		t := pass.TypesInfo.TypeOf(field.Type)
-		if t == nil {
-			continue
-		}
-		if isContext(t) || isHTTPRequestPtr(t) {
-			return true
-		}
-	}
-	return false
 }
 
 func checkCall(pass *analysis.Pass, call *ast.CallExpr, ctxAvail bool) {
@@ -108,30 +90,8 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, ctxAvail bool) {
 				pt = s.Elem()
 			}
 		}
-		if pt != nil && isContext(pt) {
+		if pt != nil && analysis.IsNamed(pt, "context", "Context") {
 			pass.Reportf(arg.Pos(), "nil passed as context.Context to %s; use the inbound context (or context.Background() at a true root)", f.Name())
 		}
 	}
-}
-
-func isContext(t types.Type) bool {
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
-func isHTTPRequestPtr(t types.Type) bool {
-	p, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	n, ok := p.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "net/http" && obj.Name() == "Request"
 }

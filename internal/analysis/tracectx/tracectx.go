@@ -52,7 +52,7 @@ func run(pass *analysis.Pass) error {
 // ctxAvail reports whether an enclosing function already provides a
 // context source (a closure can capture it).
 func walkFunc(pass *analysis.Pass, ft *ast.FuncType, body *ast.BlockStmt, ctxAvail bool) {
-	avail := ctxAvail || hasCtxSource(pass, ft)
+	avail := ctxAvail || analysis.HasCtxSource(pass.TypesInfo, ft)
 	// Adoption anywhere in the function (including its closures, which
 	// share the edge's locals) licenses its fallback minting.
 	adopts := adoptsInbound(pass, body)
@@ -225,24 +225,6 @@ func endClosureResolved(pass *analysis.Pass, body *ast.BlockStmt, obj types.Obje
 	return resolved
 }
 
-// hasCtxSource reports whether the signature provides a context
-// source: a context.Context parameter or an *http.Request.
-func hasCtxSource(pass *analysis.Pass, ft *ast.FuncType) bool {
-	if ft.Params == nil {
-		return false
-	}
-	for _, field := range ft.Params.List {
-		t := pass.TypesInfo.TypeOf(field.Type)
-		if t == nil {
-			continue
-		}
-		if isContext(t) || isHTTPRequestPtr(t) {
-			return true
-		}
-	}
-	return false
-}
-
 // callName renders the callee for diagnostics (method or function
 // name; good enough to locate the call).
 func callName(pass *analysis.Pass, call *ast.CallExpr) string {
@@ -250,26 +232,4 @@ func callName(pass *analysis.Pass, call *ast.CallExpr) string {
 		return f.Name()
 	}
 	return "span start"
-}
-
-func isContext(t types.Type) bool {
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
-func isHTTPRequestPtr(t types.Type) bool {
-	p, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	n, ok := p.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "net/http" && obj.Name() == "Request"
 }

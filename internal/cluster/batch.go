@@ -176,27 +176,24 @@ func (n *Node) decideSubBatch(r *http.Request, next http.Handler, binWire bool, 
 		ct = fleet.BinContentType
 	}
 
+	url := batchPath
+	if b.owner != n.self {
+		url = ownerURL + batchPath
+	}
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, url, bytes.NewReader(sub))
+	if err != nil {
+		failBucket(results, b.idx, http.StatusBadGateway, "cluster: building sub-batch: "+err.Error())
+		return
+	}
+	req.Header.Set("Content-Type", ct)
+	req.Header.Set(obs.TraceHeader, r.Header.Get(obs.TraceHeader))
 	var status int
 	var respBody []byte
 	if b.owner == n.self {
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, batchPath, bytes.NewReader(sub))
-		if err != nil {
-			failBucket(results, b.idx, http.StatusBadGateway, "cluster: building local sub-batch: "+err.Error())
-			return
-		}
-		req.Header.Set("Content-Type", ct)
-		req.Header.Set(obs.TraceHeader, r.Header.Get(obs.TraceHeader))
 		rec := &bufResponseWriter{h: make(http.Header), status: http.StatusOK}
 		next.ServeHTTP(rec, req)
 		status, respBody = rec.status, rec.buf.Bytes()
 	} else {
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, ownerURL+batchPath, bytes.NewReader(sub))
-		if err != nil {
-			failBucket(results, b.idx, http.StatusBadGateway, "cluster: building sub-batch forward: "+err.Error())
-			return
-		}
-		req.Header.Set("Content-Type", ct)
-		req.Header.Set(obs.TraceHeader, r.Header.Get(obs.TraceHeader))
 		req.Header.Set(ForwardedHeader, n.self)
 		resp, err := n.httpc.Do(req)
 		if err != nil {

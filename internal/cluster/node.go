@@ -467,14 +467,13 @@ func (n *Node) handleRing(w http.ResponseWriter, _ *http.Request) {
 
 // handleHandoff imports one migrated device's state bundle.
 func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
-	var st fleet.DeviceState
-	dec := json.NewDecoder(io.LimitReader(r.Body, 64<<20))
-	if err := dec.Decode(&st); err != nil {
+	st, err := decodeDoc[fleet.DeviceState](io.LimitReader(r.Body, artifactLimit))
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "cluster: decoding handoff bundle: " + err.Error()})
 		return
 	}
-	if err := n.reg.ImportDevice(&st); err != nil {
-		if errors.Is(err, fleet.ErrDeviceExists) && n.supersedes(&st) {
+	if err := n.reg.ImportDevice(st); err != nil {
+		if errors.Is(err, fleet.ErrDeviceExists) && n.supersedes(st) {
 			// Duplicate push: an earlier delivery of this bundle
 			// already committed here (the exporter's push timed out
 			// after the import, or a lost 200 forced a retry). Ack it
@@ -524,8 +523,8 @@ type MembershipJSON struct {
 }
 
 func (n *Node) handleMembership(w http.ResponseWriter, r *http.Request) {
-	var body MembershipJSON
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&body); err != nil {
+	body, err := decodeDoc[MembershipJSON](io.LimitReader(r.Body, statusLimit))
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
@@ -589,6 +588,16 @@ func (n *Node) SetStates(ctx context.Context, states map[string]bool) error {
 // locally so no state is ever dropped; the next rebalance retries.
 func (n *Node) Rebalance(ctx context.Context) error {
 	ring, urls := n.view()
+	moved, err := n.handAll(ctx, ring, urls)
+	if moved > 0 {
+		n.log.InfoContext(ctx, "rebalance complete", "devices_moved", moved)
+	}
+	return err
+}
+
+// handAll hands every local device the ring assigns to another member
+// to its owner, and reports how many moved and the first failure.
+func (n *Node) handAll(ctx context.Context, ring *Ring, urls map[string]string) (int, error) {
 	var firstErr error
 	moved := 0
 	for _, id := range n.reg.DeviceIDs() {
@@ -602,10 +611,7 @@ func (n *Node) Rebalance(ctx context.Context) error {
 			moved++
 		}
 	}
-	if moved > 0 {
-		n.log.InfoContext(ctx, "rebalance complete", "devices_moved", moved)
-	}
-	return firstErr
+	return moved, firstErr
 }
 
 // Leave drains this node for shutdown. The ring without self is
@@ -646,18 +652,9 @@ func (n *Node) Leave(ctx context.Context) error {
 	urls := n.urls
 	n.mu.Unlock()
 
-	var firstErr error
-	moved := 0
-	for _, id := range n.reg.DeviceIDs() {
-		owner := ring.Owner(id)
-		if err := n.handDevice(ctx, id, owner, urls[owner]); err != nil && firstErr == nil {
-			firstErr = err
-		} else if err == nil {
-			moved++
-		}
-	}
+	moved, err := n.handAll(ctx, ring, urls)
 	n.log.InfoContext(ctx, "leave complete", "devices_moved", moved)
-	return firstErr
+	return err
 }
 
 // handDevice exports one device and pushes the bundle to its new
@@ -694,7 +691,17 @@ func (n *Node) pushHandoff(ctx context.Context, ownerURL string, st *fleet.Devic
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ownerURL+"/v1/cluster/handoff", bytes.NewReader(b))
+	if err := n.call(ctx, http.MethodPost, ownerURL+"/v1/cluster/handoff", b, nil); err != nil {
+		return fmt.Errorf("cluster: handoff push: %w", err)
+	}
+	return nil
+}
+
+// call sends one node-to-node request carrying the cluster token. The
+// body of a 200 answer goes to read (or is drained when read is nil);
+// any other status is an error quoting the start of the body.
+func (n *Node) call(ctx context.Context, method, url string, body []byte, read func(io.Reader) error) error {
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -708,13 +715,17 @@ func (n *Node) pushHandoff(ctx context.Context, ownerURL string, st *fleet.Devic
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		body, rerr := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		msg, rerr := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		if rerr != nil {
-			body = []byte("(unreadable body: " + rerr.Error() + ")")
+			msg = []byte("(unreadable body: " + rerr.Error() + ")")
 		}
-		return fmt.Errorf("cluster: handoff rejected: status %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
+		return fmt.Errorf("status %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
 	}
-	return nil
+	if read == nil {
+		_, err = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		return err
+	}
+	return read(resp.Body)
 }
 
 // Run drives the health prober until ctx is cancelled. With
@@ -763,21 +774,7 @@ func (n *Node) Run(ctx context.Context, interval time.Duration) {
 
 // probe checks one peer's liveness.
 func (n *Node) probe(ctx context.Context, url string) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := n.httpc.Do(req)
-	if err != nil {
-		return false
-	}
-	if _, err := io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)); err != nil {
-		n.log.DebugContext(ctx, "cluster: probe body drain failed", "url", url, "err", err)
-	}
-	if err := resp.Body.Close(); err != nil {
-		n.log.DebugContext(ctx, "cluster: probe body close failed", "url", url, "err", err)
-	}
-	return resp.StatusCode == http.StatusOK
+	return n.call(ctx, http.MethodGet, url+"/healthz", nil, nil) == nil
 }
 
 // writeJSON renders a response body with the given status.

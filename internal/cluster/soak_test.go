@@ -17,15 +17,12 @@ package cluster_test
 import (
 	"context"
 	"encoding/json"
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"clrdse/internal/fleet"
 	"clrdse/internal/fleet/client"
 	"clrdse/internal/fleet/fleettest"
-	"clrdse/internal/rng"
 	"clrdse/internal/runtime"
 )
 
@@ -42,115 +39,6 @@ func soakDims(t *testing.T) (devices, rounds int) {
 	return 6, 24
 }
 
-// soakEvent is one membership change scheduled before a round.
-type soakEvent struct {
-	round   int
-	node    int
-	restart bool
-}
-
-// soakSchedule derives the kill/restart plan from the seed: two
-// disruptions, each a kill followed by a restart a few rounds later,
-// never touching node 0 in the first disruption's draw space twice in
-// a row. Pure function of (seed, rounds, nodes).
-func soakSchedule(seed int64, rounds, nodes int) []soakEvent {
-	src := rng.New(seed)
-	k1 := 1 + src.Intn(nodes-1) // never node 0: the client's first ring fetch target stays up early
-	r1 := 1 + src.Intn(rounds/4)
-	r1back := r1 + 2 + src.Intn(rounds/4)
-	k2 := 1 + src.Intn(nodes-1)
-	r2 := r1back + 1 + src.Intn(rounds/4)
-	r2back := r2 + 1 + src.Intn(rounds-r2-1)
-	return []soakEvent{
-		{round: r1, node: k1},
-		{round: r1back, node: k1, restart: true},
-		{round: r2, node: k2},
-		{round: r2back, node: k2, restart: true},
-	}
-}
-
-// runSoakPass drives every device through its script against the
-// cluster in lockstep rounds, applying membership events at the
-// barriers, and returns the canonical per-device decision transcripts.
-func runSoakPass(t *testing.T, clus *fleettest.Cluster, c *client.Client, scripts [][]runtime.QoSSpec, events []soakEvent) [][]string {
-	t.Helper()
-	ctx := context.Background()
-	devices, rounds := len(scripts), len(scripts[0])
-	out := make([][]string, devices)
-	for d := range out {
-		out[d] = make([]string, rounds)
-	}
-	for r := 0; r < rounds; r++ {
-		for _, ev := range events {
-			if ev.round != r {
-				continue
-			}
-			if ev.restart {
-				if err := clus.Restart(ctx, ev.node); err != nil {
-					t.Fatalf("round %d: restart node %d: %v", r, ev.node, err)
-				}
-			} else {
-				if err := clus.Kill(ctx, ev.node); err != nil {
-					t.Fatalf("round %d: kill node %d: %v", r, ev.node, err)
-				}
-			}
-		}
-		var wg sync.WaitGroup
-		errs := make([]error, devices)
-		for d := 0; d < devices; d++ {
-			wg.Add(1)
-			go func(d int) {
-				defer wg.Done()
-				spec := scripts[d][r]
-				dec, err := c.QoS(ctx, soakDeviceID(d), uint64(r+1),
-					fleet.QoSSpecJSON{SMaxMs: spec.SMaxMs, FMin: spec.FMin})
-				if err != nil {
-					errs[d] = fmt.Errorf("device %d round %d: %w", d, r, err)
-					return
-				}
-				if dec.Degraded {
-					errs[d] = fmt.Errorf("device %d round %d: degraded answer during graceful failover", d, r)
-					return
-				}
-				b, err := json.Marshal(dec)
-				if err != nil {
-					errs[d] = err
-					return
-				}
-				out[d][r] = string(b)
-			}(d)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return out
-}
-
-func soakDeviceID(d int) string { return fmt.Sprintf("soak-%d", d) }
-
-func registerSoakFleet(t *testing.T, c *client.Client, dbs []fleet.NamedDatabase, devices int) {
-	t.Helper()
-	ctx := context.Background()
-	boot := fleettest.LooseSpec(dbs[0].DB)
-	for d := 0; d < devices; d++ {
-		_, err := c.Register(ctx, fleet.RegisterRequest{
-			ID:       soakDeviceID(d),
-			Database: dbs[0].Name,
-			PRC:      0.5,
-			Gamma:    0.9, // agent state in play: replay must rebuild it
-			Trigger:  "on-violation",
-			Initial:  fleet.QoSSpecJSON{SMaxMs: boot.SMaxMs, FMin: boot.FMin},
-		})
-		if err != nil {
-			t.Fatalf("register %s: %v", soakDeviceID(d), err)
-		}
-	}
-}
-
 func soakClient(urls []string) *client.Client {
 	return client.New(client.Config{
 		Targets:        urls,
@@ -161,6 +49,24 @@ func soakClient(urls []string) *client.Client {
 		// re-resolution path under test.
 		BreakerThreshold: 1 << 20,
 	})
+}
+
+// registerSoakFleet registers the soak devices on the first database.
+func registerSoakFleet(t *testing.T, c *client.Client, dbs []fleet.NamedDatabase, devices int) {
+	t.Helper()
+	if err := fleettest.RegisterSoakFleet(context.Background(), c, dbs[0], devices); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runSoakPass runs one lockstep pass (fleettest.Cluster.SoakPass).
+func runSoakPass(t *testing.T, clus *fleettest.Cluster, c *client.Client, scripts [][]runtime.QoSSpec, events []fleettest.SoakEvent) [][]string {
+	t.Helper()
+	out, err := clus.SoakPass(context.Background(), c, scripts, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestClusterSoak(t *testing.T) {
@@ -199,7 +105,7 @@ func TestClusterSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	registerSoakFleet(t, c, dbs, devices)
-	events := soakSchedule(clusterSoakSeed, rounds, 3)
+	events := fleettest.SoakSchedule(clusterSoakSeed, rounds, 3)
 	t.Logf("membership schedule: %+v", events)
 	got := runSoakPass(t, clus, c, scripts, events)
 
@@ -224,8 +130,8 @@ func TestClusterSoak(t *testing.T) {
 		reg := cn.Srv.Registry()
 		total += reg.Len()
 		for d := 0; d < devices; d++ {
-			if info, err := reg.Get(soakDeviceID(d)); err == nil {
-				owners[soakDeviceID(d)]++
+			if info, err := reg.Get(fleettest.SoakDeviceID(d)); err == nil {
+				owners[fleettest.SoakDeviceID(d)]++
 				if info.Stats.Decisions != int64(rounds) {
 					t.Errorf("device %d on %s: %d decisions, want %d", d, cn.ID, info.Stats.Decisions, rounds)
 				}
@@ -236,8 +142,8 @@ func TestClusterSoak(t *testing.T) {
 		t.Errorf("cluster holds %d devices, want %d", total, devices)
 	}
 	for d := 0; d < devices; d++ {
-		if owners[soakDeviceID(d)] != 1 {
-			t.Errorf("device %d registered on %d nodes, want exactly 1", d, owners[soakDeviceID(d)])
+		if owners[fleettest.SoakDeviceID(d)] != 1 {
+			t.Errorf("device %d registered on %d nodes, want exactly 1", d, owners[fleettest.SoakDeviceID(d)])
 		}
 	}
 
@@ -268,7 +174,7 @@ func TestClusterSoak(t *testing.T) {
 	}
 	for d := 0; d < devices; d++ {
 		for r := 0; r < rounds; r++ {
-			k := key{soakDeviceID(d), uint64(r + 1)}
+			k := key{fleettest.SoakDeviceID(d), uint64(r + 1)}
 			if perSeq[k] != 1 {
 				t.Errorf("(device %s, seq %d): %d distinct decisions, want exactly 1", k.device, k.seq, perSeq[k])
 			}
@@ -298,7 +204,7 @@ func TestClusterRedirectMode(t *testing.T) {
 	script := fleettest.Script(dbs[0].DB, 5, 6)
 	for d := 0; d < 4; d++ {
 		for i, spec := range script {
-			dec, err := c.QoS(ctx, soakDeviceID(d), uint64(i+1),
+			dec, err := c.QoS(ctx, fleettest.SoakDeviceID(d), uint64(i+1),
 				fleet.QoSSpecJSON{SMaxMs: spec.SMaxMs, FMin: spec.FMin})
 			if err != nil {
 				t.Fatalf("device %d event %d: %v", d, i, err)

@@ -1,33 +1,20 @@
 package cluster
 
-// Database-version agreement. A Continuous-ReD cutover hot-swaps the
-// database a cohort serves from; in a cluster a device can be handed
-// to any alive peer at any moment, and ImportDevice rejects bundles
-// whose producing version is not the importer's active version
-// (fleet.ErrVersionSkew). Cutting over one node at a time would turn
-// every rebalance during the transition into a skew rejection, so the
-// evolve worker gates cutover on VersionsAgree: every alive peer must
-// report the same active version — same number AND same content
-// fingerprint, since each node's worker proposes from its node-local
-// journal and two nodes can hold divergent databases both numbered
-// active+1 — for the database, and no peer may be mid-transition with
-// a different candidate, before any node swaps.
-//
-// The gate alone cannot keep the cluster converged: it is not atomic
-// across nodes, so one node can still cut over first (or two nodes can
-// race through it), after which every other node's gate fails against
-// the winner forever. CatchUpVersions is the repair path — a node that
-// observes a peer ahead of it fetches that peer's exact database and
-// adopts it, restoring agreement instead of wedging.
+// Database-version sync: the database kind of the peer sync in sync.go.
+// A Continuous-ReD cutover hot-swaps the database a cohort serves from,
+// and ImportDevice rejects handoff bundles whose producing version is
+// not the importer's active version (fleet.ErrVersionSkew). Cutting
+// over one node at a time would turn every rebalance during the
+// transition into a skew rejection, so the evolve worker gates cutover
+// on VersionsAgree and repairs a one-node cutover with CatchUpVersions.
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
+	"errors"
 	"net/http"
 
 	"clrdse/internal/dse"
+	"clrdse/internal/fleet"
 )
 
 // DBVersionJSON is one database cohort's version pair as published on
@@ -70,76 +57,6 @@ func (n *Node) handleVersions(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, n.VersionsInfo())
 }
 
-// VersionsAgree reports whether every alive peer serves the named
-// database at this node's active version — number and content
-// fingerprint — with a matching candidate state. An unreachable peer
-// or a malformed document is an error, not a disagreement: the caller
-// cannot distinguish "behind" from "down", so it should defer the
-// cutover rather than conclude anything.
-func (n *Node) VersionsAgree(ctx context.Context, database string) (bool, error) {
-	local, err := n.reg.EvolveStatus(database)
-	if err != nil {
-		return false, err
-	}
-
-	n.mu.Lock()
-	peers := n.aliveMembersLocked()
-	urls := n.urls
-	n.mu.Unlock()
-
-	for _, id := range peers {
-		if id == n.self {
-			continue
-		}
-		doc, err := n.fetchVersions(ctx, urls[id])
-		if err != nil {
-			return false, fmt.Errorf("cluster: versions from %s: %w", id, err)
-		}
-		found := false
-		for _, d := range doc.Databases {
-			if d.Database != database {
-				continue
-			}
-			found = true
-			if d.ActiveVersion != local.ActiveVersion || d.ActiveFingerprint != local.ActiveFingerprint {
-				return false, nil
-			}
-			// A peer shadowing a different candidate than ours — by
-			// version or by content — would cut over to a different
-			// database; hold until the views converge.
-			if d.HasCandidate && local.HasCandidate &&
-				(d.CandidateVersion != local.CandidateVersion || d.CandidateFingerprint != local.CandidateFingerprint) {
-				return false, nil
-			}
-		}
-		if !found {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// fetchVersions GETs one peer's version document.
-func (n *Node) fetchVersions(ctx context.Context, url string) (*VersionsJSON, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/cluster/versions", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := n.httpc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	var doc VersionsJSON
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&doc); err != nil {
-		return nil, err
-	}
-	return &doc, nil
-}
-
 // DatabaseJSON is the body of GET /v1/cluster/database/{name}: the
 // node's active database for one cohort, with the version/fingerprint
 // pair the catch-up path verifies before adopting it.
@@ -163,109 +80,48 @@ func (n *Node) handleDatabase(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// fetchDatabase GETs one peer's active database for the cohort.
-func (n *Node) fetchDatabase(ctx context.Context, url, name string) (*DatabaseJSON, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/cluster/database/"+name, nil)
-	if err != nil {
-		return nil, err
-	}
-	if n.token != "" {
-		req.Header.Set(TokenHeader, n.token)
-	}
-	resp, err := n.httpc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	var doc DatabaseJSON
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&doc); err != nil {
-		return nil, err
-	}
-	return &doc, nil
-}
-
-// winsOver reports whether database state (ver, fp) beats (overVer,
-// overFp) in the cluster's deterministic convergence order: higher
-// version wins, and between divergent databases sharing a version
-// number the larger content fingerprint wins. Any total order works —
-// it only has to be the same on every node, so all nodes chase the
-// same winner.
-func winsOver(ver, fp, overVer, overFp uint64) bool {
-	if ver != overVer {
-		return ver > overVer
-	}
-	return fp > overFp
-}
-
-// CatchUpVersions reconverges this node's active database for the
-// named cohort with the cluster. The cutover gate is not atomic across
-// nodes, so a node can find itself behind: a peer cut over first (or
-// two peers raced to divergent databases sharing a version number).
-// Every such state wedges without repair — the lagging node's
-// VersionsAgree stays false forever, deferring its own cutovers, and
-// every handoff between the two sides fails with version skew. The
-// repair: when any alive peer's active database wins the convergence
-// order against ours, fetch that exact database from the peer and
-// adopt it (an immediate cutover that drops any local candidate; see
-// fleet.AdoptDatabase). It reports whether a database was adopted.
-//
-// Unreachable peers are skipped, not fatal: catch-up is best-effort
-// and re-runs on every evolve tick; a down winner will be re-observed
-// once it is back.
-func (n *Node) CatchUpVersions(ctx context.Context, database string) (bool, error) {
-	local, err := n.reg.EvolveStatus(database)
-	if err != nil {
-		return false, err
-	}
-
-	n.mu.Lock()
-	peers := n.aliveMembersLocked()
-	urls := n.urls
-	n.mu.Unlock()
-
-	bestVer, bestFP := local.ActiveVersion, local.ActiveFingerprint
-	bestPeer := ""
-	for _, id := range peers {
-		if id == n.self {
-			continue
-		}
-		doc, err := n.fetchVersions(ctx, urls[id])
-		if err != nil {
-			continue
-		}
+// databases is the database kind: a cohort always has an active
+// database, and may shadow a candidate.
+var databases = &syncKind[VersionsJSON, DatabaseJSON]{
+	noun:         "database",
+	statusPath:   "/v1/cluster/versions",
+	artifactPath: "/v1/cluster/database/",
+	info:         (*Node).VersionsInfo,
+	state: func(doc *VersionsJSON, database string) (cohortState, bool) {
 		for _, d := range doc.Databases {
-			if d.Database != database {
-				continue
-			}
-			if winsOver(d.ActiveVersion, d.ActiveFingerprint, bestVer, bestFP) {
-				bestVer, bestFP, bestPeer = d.ActiveVersion, d.ActiveFingerprint, id
+			if d.Database == database {
+				return cohortState{
+					active: fleet.Stamp{Version: d.ActiveVersion, Fingerprint: d.ActiveFingerprint},
+					cand:   fleet.Stamp{Version: d.CandidateVersion, Fingerprint: d.CandidateFingerprint},
+				}, true
 			}
 		}
-	}
-	if bestPeer == "" {
-		return false, nil
-	}
+		return cohortState{}, false
+	},
+	stamps: func(doc *DatabaseJSON) (string, fleet.Stamp, fleet.Stamp, error) {
+		if doc.DB == nil {
+			return "", fleet.Stamp{}, fleet.Stamp{}, errors.New("empty document")
+		}
+		claimed := fleet.Stamp{Version: doc.Version, Fingerprint: doc.Fingerprint}
+		return doc.Database, claimed, fleet.DatabaseStamp(doc.DB), nil
+	},
+	adopt: func(reg *fleet.Registry, database string, doc *DatabaseJSON) error {
+		return reg.AdoptDatabase(database, doc.DB)
+	},
+}
 
-	doc, err := n.fetchDatabase(ctx, urls[bestPeer], database)
-	if err != nil {
-		return false, fmt.Errorf("cluster: database from %s: %w", bestPeer, err)
-	}
-	if doc.DB == nil {
-		return false, fmt.Errorf("cluster: database from %s: empty document", bestPeer)
-	}
-	// The peer may have moved between the two fetches; adopt whatever
-	// it serves now as long as it still beats our active state.
-	if !winsOver(doc.Version, doc.Fingerprint, local.ActiveVersion, local.ActiveFingerprint) {
-		return false, nil
-	}
-	if err := n.reg.AdoptDatabase(database, doc.DB); err != nil {
-		return false, fmt.Errorf("cluster: adopt v%d from %s: %w", doc.Version, bestPeer, err)
-	}
-	n.log.InfoContext(ctx, "adopted peer database",
-		"db", database, "peer", bestPeer,
-		"version", doc.Version, "was", local.ActiveVersion)
-	return true, nil
+// VersionsAgree reports whether every alive peer serves the named
+// database at this node's active version — number and content
+// fingerprint — with a matching candidate state. An unreachable peer
+// or a malformed document is an error, not a disagreement.
+func (n *Node) VersionsAgree(ctx context.Context, database string) (bool, error) {
+	return agree(ctx, n, databases, database)
+}
+
+// CatchUpVersions adopts the named cohort's database from the alive
+// peer whose active database wins the fleet.Stamp order against ours
+// (an immediate cutover that drops any local candidate; see
+// fleet.AdoptDatabase), and reports whether it did.
+func (n *Node) CatchUpVersions(ctx context.Context, database string) (bool, error) {
+	return catchUp(ctx, n, databases, database)
 }

@@ -13,7 +13,9 @@ package cluster_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"clrdse/internal/cluster"
@@ -290,5 +292,72 @@ func TestCatchUpConvergesDivergentSameVersion(t *testing.T) {
 		if err != nil || !ok {
 			t.Errorf("agreement from node %d after tiebreak = %v, %v; want true", i, ok, err)
 		}
+	}
+}
+
+// TestCatchUpRefusesMislabelledDatabase: catch-up must check the stamp
+// of the database it actually fetched, not just the stamp the peer
+// advertises. A peer whose version document and database document both
+// claim a winning (version, fingerprint) but whose database content
+// hashes to a different fingerprint must not be adopted — otherwise a
+// corrupt or hostile document could install a loser of the
+// convergence order.
+func TestCatchUpRefusesMislabelledDatabase(t *testing.T) {
+	dbs := fleettest.Databases(t)
+	name := dbs[0].Name
+	content := candidateAt(dbs[0].DB, 1)
+	claimed := fleet.DatabaseStamp(candidateAt(dbs[1].DB, 1))
+	if claimed == fleet.DatabaseStamp(content) {
+		t.Fatal("fixture databases share a stamp; the mislabel is vacuous")
+	}
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var doc any
+		switch r.URL.Path {
+		case "/v1/cluster/versions":
+			doc = cluster.VersionsJSON{Node: "b", Databases: []cluster.DBVersionJSON{{
+				Database: name, ActiveVersion: claimed.Version, ActiveFingerprint: claimed.Fingerprint,
+			}}}
+		case "/v1/cluster/database/" + name:
+			doc = cluster.DatabaseJSON{
+				Node: "b", Database: name,
+				Version: claimed.Version, Fingerprint: claimed.Fingerprint, DB: content,
+			}
+		default:
+			http.NotFound(w, r)
+			return
+		}
+		if err := json.NewEncoder(w).Encode(doc); err != nil {
+			t.Error(err)
+		}
+	}))
+	defer peer.Close()
+
+	srv := newFleetServer(t)
+	node, err := cluster.New(cluster.Config{
+		Self:   "a",
+		Peers:  []cluster.Peer{{ID: "a", URL: "http://127.0.0.1:1"}, {ID: "b", URL: peer.URL}},
+		Logger: discardLogger(),
+	}, srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := srv.Registry().EvolveStatus(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adopted, err := node.CatchUpVersions(context.Background(), name)
+	if adopted || err == nil {
+		t.Fatalf("catch-up of a mislabelled database: adopted=%v err=%v; want a refusal", adopted, err)
+	}
+	after, err := srv.Registry().EvolveStatus(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.ActiveVersion != before.ActiveVersion || after.ActiveFingerprint != before.ActiveFingerprint {
+		t.Fatalf("mislabelled database installed: active (v%d, %016x), was (v%d, %016x)",
+			after.ActiveVersion, after.ActiveFingerprint, before.ActiveVersion, before.ActiveFingerprint)
+	}
+	if errors.Is(err, fleet.ErrCandidateVersion) {
+		t.Errorf("refusal came from the registry's order check, not the stamp check: %v", err)
 	}
 }

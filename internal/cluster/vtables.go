@@ -1,25 +1,16 @@
 package cluster
 
-// Cohort value-table agreement — the database-version machinery of
-// versions.go, applied to the shared learning layer. A cohort worker
-// publish hot-swaps the value table a cohort's agents are seeded from;
-// in a cluster each node's worker aggregates from its node-local
-// journal, so two nodes can publish divergent tables under the same
-// version number. The cohort worker therefore gates publishing on
-// VTablesAgree (every alive peer holds the same table — version AND
-// content fingerprint), and CatchUpVTables is the repair path when a
-// peer published first: fetch the winner's exact table and adopt it,
-// restoring agreement instead of wedging. The (version, fingerprint)
-// total order is winsOver — the same deterministic convergence order
-// databases use, so all nodes chase the same winner.
+// Cohort value-table sync: the table kind of the peer sync in sync.go.
+// A cohort worker publish hot-swaps the value table a cohort's agents
+// are seeded from, so the worker gates publishing on VTablesAgree and
+// repairs a one-node publish with CatchUpVTables.
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
+	"errors"
 	"net/http"
 
+	"clrdse/internal/fleet"
 	"clrdse/internal/runtime"
 )
 
@@ -60,70 +51,6 @@ func (n *Node) handleVTables(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, n.VTablesInfo())
 }
 
-// VTablesAgree reports whether every alive peer holds the named
-// cohort's value table at this node's state — presence, version and
-// content fingerprint. An unreachable peer or a malformed document is
-// an error, not a disagreement: the caller cannot distinguish "behind"
-// from "down", so it should defer the publish rather than conclude
-// anything.
-func (n *Node) VTablesAgree(ctx context.Context, database string) (bool, error) {
-	local, err := n.reg.ValueTableStatus(database)
-	if err != nil {
-		return false, err
-	}
-
-	n.mu.Lock()
-	peers := n.aliveMembersLocked()
-	urls := n.urls
-	n.mu.Unlock()
-
-	for _, id := range peers {
-		if id == n.self {
-			continue
-		}
-		doc, err := n.fetchVTables(ctx, urls[id])
-		if err != nil {
-			return false, fmt.Errorf("cluster: vtables from %s: %w", id, err)
-		}
-		found := false
-		for _, d := range doc.Databases {
-			if d.Database != database {
-				continue
-			}
-			found = true
-			if d.HasTable != local.HasTable ||
-				d.Version != local.Version || d.Fingerprint != local.Fingerprint {
-				return false, nil
-			}
-		}
-		if !found {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// fetchVTables GETs one peer's value-table version document.
-func (n *Node) fetchVTables(ctx context.Context, url string) (*VTablesJSON, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/cluster/vtables", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := n.httpc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	var doc VTablesJSON
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&doc); err != nil {
-		return nil, err
-	}
-	return &doc, nil
-}
-
 // VTableJSON is the body of GET /v1/cluster/vtable/{name}: the node's
 // active value table for one cohort, with the version/fingerprint pair
 // the catch-up path verifies before adopting it.
@@ -138,12 +65,11 @@ type VTableJSON struct {
 func (n *Node) handleVTable(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	vt, err := n.reg.ValueTable(name)
+	if err == nil && vt == nil {
+		err = errors.New("no value table published")
+	}
 	if err != nil {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": err.Error()})
-		return
-	}
-	if vt == nil {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "no value table published"})
 		return
 	}
 	writeJSON(w, http.StatusOK, VTableJSON{
@@ -151,91 +77,49 @@ func (n *Node) handleVTable(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// fetchVTable GETs one peer's active value table for the cohort.
-func (n *Node) fetchVTable(ctx context.Context, url, name string) (*VTableJSON, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/cluster/vtable/"+name, nil)
-	if err != nil {
-		return nil, err
-	}
-	if n.token != "" {
-		req.Header.Set(TokenHeader, n.token)
-	}
-	resp, err := n.httpc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	var doc VTableJSON
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&doc); err != nil {
-		return nil, err
-	}
-	return &doc, nil
+// vtables is the value-table kind: a cohort has no table until its
+// first publish.
+var vtables = &syncKind[VTablesJSON, VTableJSON]{
+	noun:         "value table",
+	statusPath:   "/v1/cluster/vtables",
+	artifactPath: "/v1/cluster/vtable/",
+	info:         (*Node).VTablesInfo,
+	state: func(doc *VTablesJSON, database string) (cohortState, bool) {
+		for _, d := range doc.Databases {
+			if d.Database == database {
+				return cohortState{active: fleet.Stamp{Version: d.Version, Fingerprint: d.Fingerprint}}, true
+			}
+		}
+		return cohortState{}, false
+	},
+	stamps: func(doc *VTableJSON) (string, fleet.Stamp, fleet.Stamp, error) {
+		if doc.Table == nil {
+			return "", fleet.Stamp{}, fleet.Stamp{}, errors.New("empty document")
+		}
+		if err := doc.Table.Validate(); err != nil {
+			return "", fleet.Stamp{}, fleet.Stamp{}, err
+		}
+		claimed := fleet.Stamp{Version: doc.Version, Fingerprint: doc.Fingerprint}
+		own := fleet.Stamp{Version: doc.Table.Version, Fingerprint: doc.Table.Fingerprint()}
+		return doc.Database, claimed, own, nil
+	},
+	adopt: func(reg *fleet.Registry, database string, doc *VTableJSON) error {
+		return reg.AdoptValueTable(database, doc.Table)
+	},
 }
 
-// CatchUpVTables reconverges this node's value table for the named
-// cohort with the cluster — the cohort worker's Reconcile hook,
-// mirroring CatchUpVersions: when any alive peer's table wins the
-// convergence order against ours, fetch that exact table from the peer
-// and adopt it (see fleet.AdoptValueTable). It reports whether a table
-// was adopted. A node with no table treats any peer table as the
-// winner. Unreachable peers are skipped, not fatal: catch-up is
-// best-effort and re-runs on every cohort tick.
+// VTablesAgree reports whether every alive peer holds the named
+// cohort's value table at this node's state — presence, version and
+// content fingerprint. An unreachable peer or a malformed document is
+// an error, not a disagreement.
+func (n *Node) VTablesAgree(ctx context.Context, database string) (bool, error) {
+	return agree(ctx, n, vtables, database)
+}
+
+// CatchUpVTables adopts the named cohort's value table from the alive
+// peer whose table wins the fleet.Stamp order against ours (a node
+// with no table treats any published table as the winner; see
+// fleet.AdoptValueTable), and reports whether it did.
 func (n *Node) CatchUpVTables(ctx context.Context, database string) (bool, error) {
-	local, err := n.reg.ValueTableStatus(database)
-	if err != nil {
-		return false, err
-	}
-
-	n.mu.Lock()
-	peers := n.aliveMembersLocked()
-	urls := n.urls
-	n.mu.Unlock()
-
-	// A node with no table is behind any node with one: local (0, 0)
-	// loses winsOver against every published (version >= 1) table.
-	bestVer, bestFP := local.Version, local.Fingerprint
-	bestPeer := ""
-	for _, id := range peers {
-		if id == n.self {
-			continue
-		}
-		doc, err := n.fetchVTables(ctx, urls[id])
-		if err != nil {
-			continue
-		}
-		for _, d := range doc.Databases {
-			if d.Database != database || !d.HasTable {
-				continue
-			}
-			if winsOver(d.Version, d.Fingerprint, bestVer, bestFP) {
-				bestVer, bestFP, bestPeer = d.Version, d.Fingerprint, id
-			}
-		}
-	}
-	if bestPeer == "" {
-		return false, nil
-	}
-
-	doc, err := n.fetchVTable(ctx, urls[bestPeer], database)
-	if err != nil {
-		return false, fmt.Errorf("cluster: vtable from %s: %w", bestPeer, err)
-	}
-	if doc.Table == nil {
-		return false, fmt.Errorf("cluster: vtable from %s: empty document", bestPeer)
-	}
-	// The peer may have moved between the two fetches; adopt whatever
-	// it holds now as long as it still beats our state.
-	if !winsOver(doc.Version, doc.Fingerprint, local.Version, local.Fingerprint) {
-		return false, nil
-	}
-	if err := n.reg.AdoptValueTable(database, doc.Table); err != nil {
-		return false, fmt.Errorf("cluster: adopt vtable v%d from %s: %w", doc.Version, bestPeer, err)
-	}
-	n.log.InfoContext(ctx, "adopted peer value table",
-		"db", database, "peer", bestPeer,
-		"version", doc.Version, "was", local.Version)
-	return true, nil
+	return catchUp(ctx, n, vtables, database)
 }

@@ -6,7 +6,7 @@ package cluster_test
 // node published first. Pinned matrix: a fresh cluster (no tables
 // anywhere) agrees; a one-node publish disagrees from both sides;
 // divergent same-version tables disagree on content fingerprint;
-// catch-up adopts the winsOver winner everywhere (a node with no table
+// catch-up adopts the Stamp-order winner everywhere (a node with no table
 // treats any published table as the winner) and is idempotent once
 // converged; an unreachable peer is an error, never a verdict.
 
@@ -116,7 +116,7 @@ func TestClusterVTables(t *testing.T) {
 	}
 	mustAgree(0, false, "with same-version divergent tables")
 
-	// Explicit convergence onto the winsOver winner restores agreement.
+	// Explicit convergence onto the Stamp-order winner restores agreement.
 	winner := v1
 	if div.Fingerprint() > v1.Fingerprint() {
 		winner = div

@@ -19,8 +19,8 @@
 package cohort
 
 import (
+	"encoding/binary"
 	"hash/fnv"
-	"sort"
 
 	"clrdse/internal/evolve"
 	"clrdse/internal/obs"
@@ -50,37 +50,18 @@ type Key struct {
 // pre-spec-recording entries (both spec fields zero) are skipped, as
 // in evolve.Observe; the result is independent of entry order.
 func QoSFingerprint(entries []obs.Entry) uint64 {
-	type cell struct{ s, f int64 }
-	seen := make(map[cell]bool)
-	for _, e := range entries {
-		if e.Degraded || (e.SpecSMaxMs == 0 && e.SpecFMin == 0) {
-			continue
-		}
-		seen[cell{evolve.Quantise(e.SpecSMaxMs), evolve.Quantise(e.SpecFMin)}] = true
-	}
-	cells := make([]cell, 0, len(seen))
-	for c := range seen {
-		cells = append(cells, c)
-	}
-	// Sorted cells make the hash independent of map iteration order.
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].s != cells[j].s {
-			return cells[i].s < cells[j].s
-		}
-		return cells[i].f < cells[j].f
-	})
+	// Observe's buckets are exactly the sorted distinct cells.
+	cells := evolve.Observe(entries).Buckets
 	h := fnv.New64a()
 	var buf [8]byte
 	word := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
+		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
 	word(uint64(len(cells)))
 	for _, c := range cells {
-		word(uint64(c.s))
-		word(uint64(c.f))
+		word(uint64(evolve.Quantise(c.SMaxMs)))
+		word(uint64(evolve.Quantise(c.FMin)))
 	}
 	return h.Sum64()
 }

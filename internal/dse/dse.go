@@ -22,6 +22,7 @@ package dse
 
 import (
 	"fmt"
+	"math"
 	gort "runtime"
 	"sync"
 
@@ -145,6 +146,20 @@ type Database struct {
 
 // Len returns the number of stored points.
 func (db *Database) Len() int { return len(db.Points) }
+
+// Envelope returns the stored points' makespan and reliability ranges:
+// the QoS region the database can satisfy.
+func (db *Database) Envelope() (minS, maxS, minF, maxF float64) {
+	minS, maxS = math.Inf(1), math.Inf(-1)
+	minF, maxF = math.Inf(1), math.Inf(-1)
+	for _, p := range db.Points {
+		minS = math.Min(minS, p.MakespanMs)
+		maxS = math.Max(maxS, p.MakespanMs)
+		minF = math.Min(minF, p.Reliability)
+		maxF = math.Max(maxF, p.Reliability)
+	}
+	return minS, maxS, minF, maxF
+}
 
 // ParetoPoints returns the points not contributed by the ReD stage.
 func (db *Database) ParetoPoints() []*DesignPoint {

@@ -18,8 +18,6 @@ package evolve
 import (
 	"context"
 	"errors"
-	"log/slog"
-	"time"
 
 	"clrdse/internal/dse"
 	"clrdse/internal/fleet"
@@ -45,37 +43,17 @@ type Worker struct {
 	// Proposer re-runs the search. Its determinism contract is what
 	// makes the whole loop reproducible.
 	Proposer *Proposer
-	// Interval is the tick period of Run (0 selects 1 minute).
-	Interval time.Duration
 	// Threshold is the shadow-window agreement fraction at or above
 	// which a candidate is cut over (0 selects 0.95).
 	Threshold float64
 	// MinShadow is how many dual-served events the shadow window must
 	// accumulate before the candidate is judged (0 selects 256).
 	MinShadow uint64
-	// Agreement, when non-nil, gates cutover on external consensus —
-	// the cluster layer's "every alive peer is active on the same
-	// version" check. Returning false defers the cutover to a later
-	// tick; an error is logged and also defers.
-	Agreement func(ctx context.Context, database string) (bool, error)
-	// Reconcile, when non-nil, runs first on every Step — the cluster
-	// layer's catch-up hook (CatchUpVersions): the cutover gate is not
-	// atomic across nodes, so a peer can cut over first, after which
-	// this node's Agreement stays false forever unless it adopts the
-	// winner's database. Reconcile returning true means a database was
-	// adopted; the step then ends (cohort state just changed under us)
-	// and the next tick resumes from the adopted version. An error is
-	// logged, never fatal.
-	Reconcile func(ctx context.Context, database string) (bool, error)
-	// Logger receives state-transition lines (nil selects the default).
-	Logger *slog.Logger
-}
-
-func (w *Worker) log() *slog.Logger {
-	if w.Logger != nil {
-		return w.Logger
-	}
-	return slog.Default()
+	// Loop drives Step: Interval, Logger, and the cluster hooks —
+	// Agreement gates cutover on every alive peer being active on the
+	// same version (cluster.Node.VersionsAgree), Reconcile adopts a
+	// peer's database that is ahead (cluster.Node.CatchUpVersions).
+	fleet.Loop
 }
 
 func (w *Worker) threshold() float64 {
@@ -97,16 +75,8 @@ func (w *Worker) minShadow() uint64 {
 // search converged onto the active set, shadow window still filling,
 // cluster not yet in agreement) return a nil error.
 func (w *Worker) Step(ctx context.Context) error {
-	if w.Reconcile != nil {
-		adopted, err := w.Reconcile(ctx, w.Database)
-		switch {
-		case err != nil:
-			w.log().WarnContext(ctx, "evolve: version catch-up failed", "db", w.Database, "err", err)
-		case adopted:
-			w.log().InfoContext(ctx, "evolve: adopted a peer's database; resuming from it next tick",
-				"db", w.Database)
-			return nil
-		}
+	if w.Reconciled(ctx, "evolve", w.Database) {
+		return nil
 	}
 	st, err := w.Registry.EvolveStatus(w.Database)
 	if err != nil {
@@ -119,29 +89,19 @@ func (w *Worker) Step(ctx context.Context) error {
 		return nil // window still filling
 	}
 	if st.Agreement < w.threshold() {
-		w.log().InfoContext(ctx, "evolve: candidate rejected by shadow window",
+		w.Log().InfoContext(ctx, "evolve: candidate rejected by shadow window",
 			"db", w.Database, "candidate_version", st.CandidateVersion,
 			"agreement", st.Agreement, "threshold", w.threshold(),
 			"shadow_events", st.ShadowEvents, "divergences", st.Divergences)
 		return w.Registry.DropCandidate(w.Database)
 	}
-	if w.Agreement != nil {
-		ok, err := w.Agreement(ctx, w.Database)
-		if err != nil {
-			w.log().WarnContext(ctx, "evolve: cluster version agreement check failed; deferring cutover",
-				"db", w.Database, "err", err)
-			return nil
-		}
-		if !ok {
-			w.log().InfoContext(ctx, "evolve: cluster not in version agreement; deferring cutover",
-				"db", w.Database, "candidate_version", st.CandidateVersion)
-			return nil
-		}
+	if !w.Agreed(ctx, "evolve", w.Database, "candidate_version", st.CandidateVersion) {
+		return nil
 	}
 	if err := w.Registry.CutoverDatabase(w.Database); err != nil {
 		return err
 	}
-	w.log().InfoContext(ctx, "evolve: cutover",
+	w.Log().InfoContext(ctx, "evolve: cutover",
 		"db", w.Database, "version", st.CandidateVersion,
 		"agreement", st.Agreement, "shadow_events", st.ShadowEvents)
 	return nil
@@ -158,7 +118,7 @@ func (w *Worker) propose(ctx context.Context) error {
 	cand, err := w.Proposer.Propose(active, entries)
 	switch {
 	case errors.Is(err, ErrInsufficientEvidence), errors.Is(err, ErrNoChange):
-		w.log().DebugContext(ctx, "evolve: no proposal", "db", w.Database, "reason", err)
+		w.Log().DebugContext(ctx, "evolve: no proposal", "db", w.Database, "reason", err)
 		return nil
 	case err != nil:
 		return err
@@ -168,35 +128,16 @@ func (w *Worker) propose(ctx context.Context) error {
 		// search and the install; the next tick re-proposes against the
 		// new active version.
 		if errors.Is(err, fleet.ErrCandidateVersion) {
-			w.log().InfoContext(ctx, "evolve: proposal outdated by concurrent cutover", "db", w.Database)
+			w.Log().InfoContext(ctx, "evolve: proposal outdated by concurrent cutover", "db", w.Database)
 			return nil
 		}
 		return err
 	}
-	w.log().InfoContext(ctx, "evolve: candidate proposed",
+	w.Log().InfoContext(ctx, "evolve: candidate proposed",
 		"db", w.Database, "version", cand.Version, "points", cand.Len(),
 		"active_points", active.Len())
 	return nil
 }
 
-// Run steps the worker every Interval until ctx is cancelled. Step
-// errors are logged, never fatal: the loop is a background optimiser,
-// and serving must not depend on it.
-func (w *Worker) Run(ctx context.Context) {
-	interval := w.Interval
-	if interval <= 0 {
-		interval = time.Minute
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			if err := w.Step(ctx); err != nil {
-				w.log().WarnContext(ctx, "evolve: step failed", "db", w.Database, "err", err)
-			}
-		}
-	}
-}
+// Run steps the worker every Interval until ctx is cancelled.
+func (w *Worker) Run(ctx context.Context) { w.Loop.Run(ctx, "evolve", w.Database, w.Step) }

@@ -166,21 +166,8 @@ type DecisionJSON struct {
 
 // decisionJSON flattens a runtime decision for the wire.
 func decisionJSON(id string, d runtime.Decision) DecisionJSON {
-	out := DecisionJSON{
-		Device:            id,
-		From:              d.From,
-		To:                d.To,
-		Reconfigured:      d.Reconfigured,
-		Violated:          d.Violated,
-		CostMs:            d.Cost.Total(),
-		BinaryMigrationMs: d.Cost.BinaryMigrationMs,
-		BitstreamMs:       d.Cost.BitstreamMs,
-		MigratedTasks:     d.Cost.MigratedTasks,
-		ReloadedPRRs:      d.Cost.ReloadedPRRs,
-	}
-	for _, a := range d.Plan {
-		out.Plan = append(out.Plan, actionJSON(a))
-	}
+	var out DecisionJSON
+	decisionJSONInto(&out, id, d)
 	return out
 }
 

@@ -1,15 +1,14 @@
 package fleet
 
 // Cohort value-table serving support: versioned shared value functions
-// with atomic per-cohort hot swap, mirroring the database discipline
-// of evolve.go.
+// with atomic per-cohort hot swap, in the same slot (slot.go) that
+// holds the cohort's database.
 //
 // Each database cohort owns at most one active value table — the
 // cohort-AuRA aggregate published by the cohort worker
-// (internal/cohort) — behind an atomic pointer in the cohort's
-// dbState. The decide path only ever loads it: publishing, adopting a
-// peer's table and rolling back are pointer flips under swapMu that
-// never block traffic. Devices converge lazily, exactly like database
+// (internal/cohort) — in its dbState's vt slot. The decide path only
+// ever loads it: publishing, adopting a peer's table and rolling back
+// are pointer flips under swapMu that never block traffic. Devices converge lazily, exactly like database
 // versions: every decision (already holding the device semaphore)
 // compares the table last applied to its manager with the cohort's
 // active slot and re-seeds its agent when they differ, so a publish is
@@ -79,17 +78,24 @@ type ValueTableStatus struct {
 	PriorsApplied uint64 `json:"priors_applied"`
 }
 
-// checkTableBinding verifies, under swapMu, that the table was learned
-// against exactly the database this cohort is serving.
-func (st *dbState) checkTableBinding(t *runtime.ValueTable) error {
-	active := st.active.Load()
-	if t.DBVersion != active.DB.Version || t.DBFingerprint != active.fp {
-		return fmt.Errorf("%w: table bound to db v%d fp %016x, active v%d fp %016x",
-			ErrValueTableSkew, t.DBVersion, t.DBFingerprint, active.DB.Version, active.fp)
+// tableStamp is a value table's position in the cluster convergence
+// order.
+func tableStamp(t *runtime.ValueTable) Stamp { return Stamp{t.Version, t.Fingerprint()} }
+
+// checkTable verifies, under swapMu, that the table is internally
+// consistent and was learned against exactly the database this cohort
+// is serving.
+func (st *dbState) checkTable(op string, t *runtime.ValueTable) error {
+	if t == nil {
+		return fmt.Errorf("fleet: %s value table %q: nil table", op, st.name)
 	}
-	if t.Len() != active.DB.Len() {
-		return fmt.Errorf("%w: table covers %d states, active database stores %d",
-			ErrValueTableSkew, t.Len(), active.DB.Len())
+	if err := t.Validate(); err != nil {
+		return fmt.Errorf("fleet: %s value table %q: %w", op, st.name, err)
+	}
+	active := st.db.load()
+	if t.DBVersion != active.DB.Version || t.DBFingerprint != active.fp || t.Len() != active.DB.Len() {
+		return fmt.Errorf("fleet: %s value table %q: %w: table bound to db v%d fp %016x with %d states, active v%d fp %016x with %d",
+			op, st.name, ErrValueTableSkew, t.DBVersion, t.DBFingerprint, t.Len(), active.DB.Version, active.fp, active.DB.Len())
 	}
 	return nil
 }
@@ -101,76 +107,47 @@ func (st *dbState) checkTableBinding(t *runtime.ValueTable) error {
 // must be version 1 or later). Devices pick the new table up lazily on
 // their next decision.
 func (r *Registry) PublishValueTable(name string, t *runtime.ValueTable) error {
-	st, ok := r.dbs[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoDatabase, name)
+	st, err := r.locked(name)
+	if err != nil {
+		return err
 	}
-	if t == nil {
-		return fmt.Errorf("fleet: publish value table %q: nil table", name)
-	}
-	if err := t.Validate(); err != nil {
-		return fmt.Errorf("fleet: publish value table %q: %w", name, err)
-	}
-	st.swapMu.Lock()
 	defer st.swapMu.Unlock()
-	if err := st.checkTableBinding(t); err != nil {
-		return fmt.Errorf("fleet: publish value table %q: %w", name, err)
+	if err := st.checkTable("publish", t); err != nil {
+		return err
 	}
-	cur := st.vtActive.Load()
 	var curVer uint64
-	if cur != nil {
+	if cur := st.vt.load(); cur != nil {
 		curVer = cur.Version
 	}
 	if t.Version <= curVer {
 		return fmt.Errorf("%w: publish v%d vs active v%d", ErrValueTableVersion, t.Version, curVer)
 	}
-	st.vtPrev = cur
-	st.vtActive.Store(t)
-	st.vtVer.Set(int64(t.Version))
+	st.vt.install(t)
 	r.cohortPublishes.Inc()
 	return nil
 }
 
 // AdoptValueTable installs a cluster peer's value table immediately —
 // the catch-up path, mirroring AdoptDatabase. The adopted table must
-// still bind to this node's active database; among tables for the same
-// database the (version, fingerprint) total order decides: a strictly
-// higher version wins, and the higher fingerprint breaks a same-version
-// tie between tables that independently evolved on different nodes.
-// Adopting the exact active table is an idempotent no-op; a losing
-// table is refused with ErrValueTableVersion. The displaced table is
-// retained for one-step rollback.
+// still bind to this node's active database and beat the active table
+// in the Stamp order: a strictly higher version wins, and the higher
+// fingerprint breaks a same-version tie between tables that
+// independently evolved on different nodes. Adopting the exact active
+// table is an idempotent no-op; a losing table is refused with
+// ErrValueTableVersion. The displaced table is retained for one-step
+// rollback.
 func (r *Registry) AdoptValueTable(name string, t *runtime.ValueTable) error {
-	st, ok := r.dbs[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoDatabase, name)
+	st, err := r.locked(name)
+	if err != nil {
+		return err
 	}
-	if t == nil {
-		return fmt.Errorf("fleet: adopt value table %q: nil table", name)
-	}
-	if err := t.Validate(); err != nil {
-		return fmt.Errorf("fleet: adopt value table %q: %w", name, err)
-	}
-	st.swapMu.Lock()
 	defer st.swapMu.Unlock()
-	if err := st.checkTableBinding(t); err != nil {
-		return fmt.Errorf("fleet: adopt value table %q: %w", name, err)
+	if err := st.checkTable("adopt", t); err != nil {
+		return err
 	}
-	cur := st.vtActive.Load()
-	if cur != nil {
-		curFP, tFP := cur.Fingerprint(), t.Fingerprint()
-		if t.Version == cur.Version && tFP == curFP {
-			return nil // already holding exactly this table
-		}
-		wins := t.Version > cur.Version || (t.Version == cur.Version && tFP > curFP)
-		if !wins {
-			return fmt.Errorf("%w: adopt v%d fp %016x loses to active v%d fp %016x",
-				ErrValueTableVersion, t.Version, tFP, cur.Version, curFP)
-		}
+	if adopted, err := st.vt.adopt(t, ErrValueTableVersion); !adopted {
+		return err
 	}
-	st.vtPrev = cur
-	st.vtActive.Store(t)
-	st.vtVer.Set(int64(t.Version))
 	r.cohortAdoptions.Inc()
 	return nil
 }
@@ -183,28 +160,21 @@ func (r *Registry) AdoptValueTable(name string, t *runtime.ValueTable) error {
 // without a cohort prior, and journal entries keep stamping the
 // version each device actually carries.
 func (r *Registry) RollbackValueTable(name string) error {
-	st, ok := r.dbs[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoDatabase, name)
+	st, err := r.locked(name)
+	if err != nil {
+		return err
 	}
-	st.swapMu.Lock()
 	defer st.swapMu.Unlock()
-	if st.vtActive.Load() == nil {
+	cur := st.vt.load()
+	if cur == nil {
 		return fmt.Errorf("%w: %q", ErrNoValueTable, name)
 	}
-	if st.vtPrev == nil && st.vtActive.Load().Version <= 1 {
-		// First-publish rollback: revert to "no table".
-		st.vtActive.Store(nil)
-		st.vtVer.Set(0)
-		r.cohortRollbacks.Inc()
-		return nil
-	}
-	if st.vtPrev == nil {
+	// Without a retained table only the first publish rolls back (to
+	// "no table").
+	if st.vt.prev == nil && cur.Version > 1 {
 		return fmt.Errorf("%w: %q", ErrNoPreviousTable, name)
 	}
-	st.vtActive.Store(st.vtPrev)
-	st.vtVer.Set(int64(st.vtPrev.Version))
-	st.vtPrev = nil
+	st.vt.rollback()
 	r.cohortRollbacks.Inc()
 	return nil
 }
@@ -213,35 +183,31 @@ func (r *Registry) RollbackValueTable(name string) error {
 // has been published — the read side of the cluster catch-up path and
 // of /debug/cohort.
 func (r *Registry) ValueTable(name string) (*runtime.ValueTable, error) {
-	st, ok := r.dbs[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoDatabase, name)
+	st, err := r.cohort(name)
+	if err != nil {
+		return nil, err
 	}
-	return st.vtActive.Load(), nil
+	return st.vt.load(), nil
 }
 
 // ValueTableStatus snapshots one cohort's value-table state.
 func (r *Registry) ValueTableStatus(name string) (ValueTableStatus, error) {
-	st, ok := r.dbs[name]
-	if !ok {
-		return ValueTableStatus{}, fmt.Errorf("%w: %q", ErrNoDatabase, name)
+	st, err := r.cohort(name)
+	if err != nil {
+		return ValueTableStatus{}, err
 	}
 	return st.vtStatus(r), nil
 }
 
 // ValueTableStatuses snapshots every cohort, in registration order.
 func (r *Registry) ValueTableStatuses() []ValueTableStatus {
-	out := make([]ValueTableStatus, 0, len(r.names))
-	for _, name := range r.names {
-		out = append(out, r.dbs[name].vtStatus(r))
-	}
-	return out
+	return eachCohort(r, func(st *dbState) ValueTableStatus { return st.vtStatus(r) })
 }
 
 func (st *dbState) vtStatus(r *Registry) ValueTableStatus {
 	st.swapMu.Lock()
-	active := st.vtActive.Load()
-	prev := st.vtPrev
+	active := st.vt.load()
+	prev := st.vt.prev
 	st.swapMu.Unlock()
 	s := ValueTableStatus{
 		Database:      st.name,
@@ -282,7 +248,7 @@ func (r *Registry) syncValueTable(d *device) {
 		d.vtMgr, d.vtApplied = nil, nil
 		d.vtVersion.Store(0)
 	}
-	vt := d.state.vtActive.Load()
+	vt := d.state.vt.load()
 	if vt == nil || vt == d.vtApplied {
 		return
 	}

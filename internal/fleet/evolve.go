@@ -3,10 +3,11 @@ package fleet
 // Continuous-ReD serving support: versioned databases with dual-serve
 // validation and atomic per-cohort hot swap.
 //
-// Each registered database name is a cohort. A cohort's state is three
-// slots — active, candidate, previous — behind atomic pointers: the
-// decide path only ever loads them, so installing a candidate, cutting
-// over or rolling back is one pointer flip that never blocks traffic.
+// Each registered database name is a cohort. A cohort's database state
+// is two slots (slot.go) — the active/previous pair and the candidate —
+// behind atomic pointers: the decide path only ever loads them, so
+// installing a candidate, cutting over, adopting or rolling back is one
+// pointer flip that never blocks traffic.
 // Devices converge lazily: every decision (already holding the device
 // semaphore) compares the database its manager was built against with
 // the cohort's active slot and migrates itself when they differ, so a
@@ -40,7 +41,6 @@ import (
 	"sync/atomic"
 
 	"clrdse/internal/dse"
-	"clrdse/internal/fleet/metrics"
 	"clrdse/internal/mapping"
 	"clrdse/internal/runtime"
 )
@@ -65,25 +65,22 @@ var (
 
 // dbState is one cohort's version state. The decide path reads the
 // atomic slots without locks; swapMu serialises the swap operations
-// (propose, cutover, rollback, drop) against each other.
+// (propose, cutover, adopt, rollback, drop, publish) against each
+// other.
 type dbState struct {
 	name   string
 	swapMu sync.Mutex
-	// active is the database every decision is served from. Never nil.
-	active atomic.Pointer[NamedDatabase]
+	// db holds the database every decision is served from (never nil)
+	// and the one-step rollback target retained by cutover and
+	// adoption.
+	db slot[NamedDatabase]
 	// candidate, when non-nil, is the proposed next version being
-	// shadow-served.
-	candidate atomic.Pointer[NamedDatabase]
-	// prev is the one-step rollback target, retained by Cutover and
-	// consumed by Rollback. Guarded by swapMu.
-	prev *NamedDatabase
-
-	// vtActive is the cohort's published value table (nil until the
-	// cohort worker first publishes); vtPrev is the one-step rollback
-	// target, guarded by swapMu like prev. Devices re-seed their
-	// agents lazily per decision (see syncValueTable).
-	vtActive atomic.Pointer[runtime.ValueTable]
-	vtPrev   *runtime.ValueTable
+	// shadow-served (its prev is unused).
+	candidate slot[NamedDatabase]
+	// vt holds the cohort's published value table (nil until the
+	// cohort worker first publishes). Devices re-seed their agents
+	// lazily per decision (see syncValueTable).
+	vt slot[runtime.ValueTable]
 
 	// window accumulates the shadow scores judging the currently
 	// installed candidate. ProposeDatabase installs a fresh window
@@ -94,10 +91,25 @@ type dbState struct {
 	// The window outlives its candidate (cutover and drop leave it in
 	// place, frozen) so /debug/evolve keeps showing the last verdict.
 	window atomic.Pointer[shadowWindow]
+}
 
-	activeVer *metrics.Gauge
-	candVer   *metrics.Gauge
-	vtVer     *metrics.Gauge
+// cohort looks up the named cohort's state.
+func (r *Registry) cohort(name string) (*dbState, error) {
+	if st, ok := r.dbs[name]; ok {
+		return st, nil
+	}
+	return nil, fmt.Errorf("%w: %q", ErrNoDatabase, name)
+}
+
+// locked looks up the named cohort and takes its swapMu for one swap
+// operation; the caller defers st.swapMu.Unlock().
+func (r *Registry) locked(name string) (*dbState, error) {
+	st, err := r.cohort(name)
+	if err != nil {
+		return nil, err
+	}
+	st.swapMu.Lock()
+	return st, nil
 }
 
 // shadowWindow is the agreement/divergence accounting for exactly one
@@ -184,22 +196,32 @@ func (n *NamedDatabase) build() {
 	n.matrix = mapping.NewDRCMatrix(n.Space, maps)
 	n.keys = make([]string, len(maps))
 	n.keyIdx = make(map[string]int, len(maps))
-	h := fnv.New64a()
-	var buf [8]byte
 	for i, m := range maps {
 		n.keys[i] = m.Key()
 		if _, dup := n.keyIdx[n.keys[i]]; !dup {
 			n.keyIdx[n.keys[i]] = i
 		}
-		h.Write([]byte(n.keys[i]))
+	}
+	n.fp = fingerprint(n.DB, n.keys)
+}
+
+// fingerprint hashes the database content given each point's canonical
+// mapping key (see Fingerprint).
+func fingerprint(db *dse.Database, keys []string) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for i, p := range db.Points {
+		h.Write([]byte(keys[i]))
 		h.Write([]byte{0})
-		p := n.DB.Points[i]
+		if p == nil {
+			continue // fails validation; skipped so DatabaseStamp cannot panic
+		}
 		for _, v := range [...]float64{p.MakespanMs, p.Reliability, p.EnergyMJ, p.PeakPowerW, p.MTTFMs} {
 			binary.BigEndian.PutUint64(buf[:], math.Float64bits(v))
 			h.Write(buf[:])
 		}
 	}
-	n.fp = h.Sum64()
+	return h.Sum64()
 }
 
 // Fingerprint is the database's content hash: FNV-1a over every stored
@@ -213,6 +235,39 @@ func (n *NamedDatabase) build() {
 // numbered active+1.
 func (n *NamedDatabase) Fingerprint() uint64 { return n.fp }
 
+// DatabaseStamp returns db's position in the convergence order: its
+// version and the content fingerprint it will carry once served. The
+// cluster catch-up path checks a fetched database's own stamp with it
+// before adopting. It never panics on an unvalidated database; points
+// without a mapping hash as empty keys and fail adoption later.
+func DatabaseStamp(db *dse.Database) Stamp {
+	keys := make([]string, len(db.Points))
+	for i, p := range db.Points {
+		if p != nil && p.M != nil {
+			keys[i] = p.M.Key()
+		}
+	}
+	return Stamp{db.Version, fingerprint(db, keys)}
+}
+
+// stamp is the database's position in the cluster convergence order.
+func (n *NamedDatabase) stamp() Stamp { return Stamp{n.DB.Version, n.fp} }
+
+// newVersion validates db against the cohort's mapping space and
+// builds it into a servable version. Callers hold swapMu.
+func (st *dbState) newVersion(op string, db *dse.Database) (*NamedDatabase, error) {
+	if db == nil {
+		return nil, fmt.Errorf("fleet: %s %q: nil database", op, st.name)
+	}
+	space := st.db.load().Space
+	if err := db.Validate(space); err != nil {
+		return nil, fmt.Errorf("fleet: %s %q: %w", op, st.name, err)
+	}
+	n := &NamedDatabase{Name: st.name, DB: db, Space: space}
+	n.build()
+	return n, nil
+}
+
 // ProposeDatabase installs db as the named cohort's candidate version
 // and starts a fresh shadow window. The candidate must validate
 // against the cohort's mapping space and its Version must advance the
@@ -220,31 +275,24 @@ func (n *NamedDatabase) Fingerprint() uint64 { return n.fp }
 // window discarded). Devices pick the new candidate up lazily on their
 // next decision.
 func (r *Registry) ProposeDatabase(name string, db *dse.Database) error {
-	st, ok := r.dbs[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoDatabase, name)
+	st, err := r.locked(name)
+	if err != nil {
+		return err
 	}
-	if db == nil {
-		return fmt.Errorf("fleet: propose %q: nil database", name)
-	}
-	st.swapMu.Lock()
 	defer st.swapMu.Unlock()
-	active := st.active.Load()
-	if db.Version <= active.DB.Version {
+	cand, err := st.newVersion("propose", db)
+	if err != nil {
+		return err
+	}
+	if active := st.db.load(); db.Version <= active.DB.Version {
 		return fmt.Errorf("%w: candidate v%d vs active v%d", ErrCandidateVersion, db.Version, active.DB.Version)
 	}
-	if err := db.Validate(active.Space); err != nil {
-		return fmt.Errorf("fleet: propose %q: %w", name, err)
-	}
-	cand := &NamedDatabase{Name: name, DB: db, Space: active.Space}
-	cand.build()
 	// The fresh window is installed before the candidate it judges: a
 	// racing shadowScore can then never observe the new candidate with
 	// the old window still in place (scores for the old candidate land
 	// in the old window object, which is dropped here with it).
 	st.window.Store(&shadowWindow{cand: cand})
-	st.candidate.Store(cand)
-	st.candVer.Set(int64(db.Version))
+	st.candidate.set(cand)
 	r.evolveProposals.Inc()
 	return nil
 }
@@ -255,21 +303,17 @@ func (r *Registry) ProposeDatabase(name string, db *dse.Database) error {
 // version they loaded, and every device migrates (adopting its shadow
 // manager's already-tracked state) on its next decision.
 func (r *Registry) CutoverDatabase(name string) error {
-	st, ok := r.dbs[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoDatabase, name)
+	st, err := r.locked(name)
+	if err != nil {
+		return err
 	}
-	st.swapMu.Lock()
 	defer st.swapMu.Unlock()
-	cand := st.candidate.Load()
+	cand := st.candidate.load()
 	if cand == nil {
 		return fmt.Errorf("%w: %q", ErrNoCandidate, name)
 	}
-	st.prev = st.active.Load()
-	st.active.Store(cand)
-	st.candidate.Store(nil)
-	st.activeVer.Set(int64(cand.DB.Version))
-	st.candVer.Set(0)
+	st.db.install(cand)
+	st.candidate.set(nil)
 	r.evolveCutovers.Inc()
 	return nil
 }
@@ -283,67 +327,50 @@ func (r *Registry) CutoverDatabase(name string) error {
 // that observes a node ahead of it therefore fetches that node's
 // active database and adopts those exact bytes here.
 //
-// The adopted version must not be behind the active one; adopting the
-// active database itself (same version, same content fingerprint) is
-// an idempotent no-op. Equal version with a different fingerprint is
-// accepted — the tiebreak for two nodes that independently cut over to
-// divergent databases sharing a version number. Any installed
-// candidate is dropped (its shadow window judged a proposal that has
-// been overtaken), and the displaced active version is retained for
-// one-step rollback. Devices converge lazily, exactly as after a
-// cutover.
+// The adopted database must beat the active one in the Stamp order: a
+// higher version, or the same version with a larger content
+// fingerprint (the tiebreak for two nodes that independently cut over
+// to divergent databases sharing a version number). Adopting the
+// active database itself is an idempotent no-op; a loser is refused
+// with ErrCandidateVersion. Any installed candidate is dropped (its
+// shadow window judged a proposal that has been overtaken), and the
+// displaced active version is retained for one-step rollback. Devices
+// converge lazily, exactly as after a cutover.
 func (r *Registry) AdoptDatabase(name string, db *dse.Database) error {
-	st, ok := r.dbs[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoDatabase, name)
+	st, err := r.locked(name)
+	if err != nil {
+		return err
 	}
-	if db == nil {
-		return fmt.Errorf("fleet: adopt %q: nil database", name)
-	}
-	st.swapMu.Lock()
 	defer st.swapMu.Unlock()
-	active := st.active.Load()
-	if db.Version < active.DB.Version {
-		return fmt.Errorf("%w: adopt v%d behind active v%d", ErrCandidateVersion, db.Version, active.DB.Version)
+	next, err := st.newVersion("adopt", db)
+	if err != nil {
+		return err
 	}
-	if err := db.Validate(active.Space); err != nil {
-		return fmt.Errorf("fleet: adopt %q: %w", name, err)
+	if adopted, err := st.db.adopt(next, ErrCandidateVersion); !adopted {
+		return err
 	}
-	next := &NamedDatabase{Name: name, DB: db, Space: active.Space}
-	next.build()
-	if db.Version == active.DB.Version && next.fp == active.fp {
-		return nil // already serving exactly this database
-	}
-	st.prev = active
-	st.active.Store(next)
-	st.candidate.Store(nil)
-	st.activeVer.Set(int64(db.Version))
-	st.candVer.Set(0)
+	st.candidate.set(nil)
 	r.evolveAdoptions.Inc()
 	return nil
 }
 
 // RollbackDatabase reverts the cohort to the version displaced by the
-// last cutover. Rollback is one-step — the reverted-from version is
-// not retained — and drops any candidate installed since. Devices
-// swap back to their retained pre-cutover managers on their next
-// decision, so pre-cutover state (including AuRA value functions)
+// last cutover or adoption. Rollback is one-step — the reverted-from
+// version is not retained — and drops any candidate installed since.
+// Devices swap back to their retained pre-cutover managers on their
+// next decision, so pre-cutover state (including AuRA value functions)
 // survives a cutover-then-rollback round trip intact.
 func (r *Registry) RollbackDatabase(name string) error {
-	st, ok := r.dbs[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoDatabase, name)
+	st, err := r.locked(name)
+	if err != nil {
+		return err
 	}
-	st.swapMu.Lock()
 	defer st.swapMu.Unlock()
-	if st.prev == nil {
+	if st.db.prev == nil {
 		return fmt.Errorf("%w: %q", ErrNoPrevious, name)
 	}
-	st.candidate.Store(nil)
-	st.active.Store(st.prev)
-	st.activeVer.Set(int64(st.prev.DB.Version))
-	st.candVer.Set(0)
-	st.prev = nil
+	st.candidate.set(nil)
+	st.db.rollback()
 	r.evolveRollbacks.Inc()
 	return nil
 }
@@ -353,28 +380,23 @@ func (r *Registry) RollbackDatabase(name string) error {
 // much divergence. Devices discard their shadow managers on their next
 // decision.
 func (r *Registry) DropCandidate(name string) error {
-	st, ok := r.dbs[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoDatabase, name)
+	st, err := r.locked(name)
+	if err != nil {
+		return err
 	}
-	st.swapMu.Lock()
 	defer st.swapMu.Unlock()
-	if st.candidate.Load() == nil {
+	if st.candidate.load() == nil {
 		return fmt.Errorf("%w: %q", ErrNoCandidate, name)
 	}
-	st.candidate.Store(nil)
-	st.candVer.Set(0)
+	st.candidate.set(nil)
 	r.evolveDropped.Inc()
 	return nil
 }
 
 // ActiveDatabase returns the cohort's currently served database.
 func (r *Registry) ActiveDatabase(name string) (*dse.Database, error) {
-	st, ok := r.dbs[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoDatabase, name)
-	}
-	return st.active.Load().DB, nil
+	db, _, err := r.ActiveSnapshot(name)
+	return db, err
 }
 
 // ActiveSnapshot returns the cohort's currently served database
@@ -382,37 +404,40 @@ func (r *Registry) ActiveDatabase(name string) (*dse.Database, error) {
 // read side of the cluster catch-up path, where a version/fingerprint
 // pair read across two calls could straddle a concurrent swap.
 func (r *Registry) ActiveSnapshot(name string) (*dse.Database, uint64, error) {
-	st, ok := r.dbs[name]
-	if !ok {
-		return nil, 0, fmt.Errorf("%w: %q", ErrNoDatabase, name)
+	st, err := r.cohort(name)
+	if err != nil {
+		return nil, 0, err
 	}
-	n := st.active.Load()
+	n := st.db.load()
 	return n.DB, n.fp, nil
 }
 
 // EvolveStatus snapshots one cohort's version and shadow-window state.
 func (r *Registry) EvolveStatus(name string) (EvolveStatus, error) {
-	st, ok := r.dbs[name]
-	if !ok {
-		return EvolveStatus{}, fmt.Errorf("%w: %q", ErrNoDatabase, name)
+	st, err := r.cohort(name)
+	if err != nil {
+		return EvolveStatus{}, err
 	}
 	return st.status(), nil
 }
 
 // EvolveStatuses snapshots every cohort, in registration order.
-func (r *Registry) EvolveStatuses() []EvolveStatus {
-	out := make([]EvolveStatus, 0, len(r.names))
+func (r *Registry) EvolveStatuses() []EvolveStatus { return eachCohort(r, (*dbState).status) }
+
+// eachCohort maps f over the cohorts in registration order.
+func eachCohort[T any](r *Registry, f func(*dbState) T) []T {
+	out := make([]T, 0, len(r.names))
 	for _, name := range r.names {
-		out = append(out, r.dbs[name].status())
+		out = append(out, f(r.dbs[name]))
 	}
 	return out
 }
 
 func (st *dbState) status() EvolveStatus {
 	st.swapMu.Lock()
-	active := st.active.Load()
-	cand := st.candidate.Load()
-	prev := st.prev
+	active := st.db.load()
+	cand := st.candidate.load()
+	prev := st.db.prev
 	st.swapMu.Unlock()
 	s := EvolveStatus{
 		Database:          st.name,
@@ -505,7 +530,7 @@ func (d *device) managerTracking(n *NamedDatabase) (*runtime.Manager, error) {
 // the device keeps serving its current version — journal stamps stay
 // truthful — and retries on its next decision.
 func (r *Registry) syncVersion(d *device) {
-	active := d.state.active.Load()
+	active := d.state.db.load()
 	if d.db.Load() != active {
 		switch {
 		case d.shadowDB == active:
@@ -538,7 +563,7 @@ func (r *Registry) syncVersion(d *device) {
 			}
 		}
 	}
-	cand := d.state.candidate.Load()
+	cand := d.state.candidate.load()
 	switch {
 	case cand == nil:
 		d.shadow, d.shadowDB = nil, nil
@@ -590,7 +615,7 @@ func (r *Registry) shadowScore(d *device, seq uint64, spec runtime.QoSSpec, dec 
 	// window from accumulating further (devices drop their shadow
 	// managers on their next decision anyway).
 	win := st.window.Load()
-	if win == nil || win.cand != cand || st.candidate.Load() != cand {
+	if win == nil || win.cand != cand || st.candidate.load() != cand {
 		return
 	}
 	win.events.Add(1)

@@ -668,6 +668,10 @@ func TestAdoptDatabase(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	boot, err := reg.EvolveStatus("red")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := reg.AdoptDatabase("nope", versioned(f.base, 2)); !errors.Is(err, ErrNoDatabase) {
 		t.Errorf("adopt into unknown cohort: %v, want ErrNoDatabase", err)
 	}
@@ -701,14 +705,21 @@ func TestAdoptDatabase(t *testing.T) {
 		t.Errorf("adopt behind active: %v, want ErrCandidateVersion", err)
 	}
 
-	// Equal version, different content: the divergent-cutover tiebreak
-	// path must install it.
+	// Equal version, different content: the larger content fingerprint
+	// wins the divergent-cutover tiebreak and is installed; the loser is
+	// refused, so every node converges on the same database.
+	if !(Stamp{2, boot.ActiveFingerprint}).Beats(Stamp{2, st.ActiveFingerprint}) {
+		t.Fatal("fixture's red database no longer beats base on fingerprint; tiebreak step is vacuous")
+	}
 	if err := reg.AdoptDatabase("red", versioned(f.red, 2)); err != nil {
-		t.Fatalf("adopt of same-version divergent database: %v", err)
+		t.Fatalf("adopt of same-version winning database: %v", err)
 	}
 	st2, _ := reg.EvolveStatus("red")
 	if st2.ActiveVersion != 2 || st2.ActiveFingerprint == st.ActiveFingerprint {
 		t.Fatalf("divergent adopt did not change content: %+v vs %+v", st2, st)
+	}
+	if err := reg.AdoptDatabase("red", versioned(f.base, 2)); !errors.Is(err, ErrCandidateVersion) {
+		t.Errorf("adopt of same-version losing database: %v, want ErrCandidateVersion", err)
 	}
 
 	// Devices converge lazily onto the adopted version, exactly as

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"runtime/pprof"
 	"sort"
 	"sync"
@@ -88,17 +87,7 @@ type NamedDatabase struct {
 
 // Envelope returns the database's QoS metric ranges — the satisfiable
 // region load generators and registrants should draw specs from.
-func (n NamedDatabase) Envelope() (minS, maxS, minF, maxF float64) {
-	minS, maxS = math.Inf(1), math.Inf(-1)
-	minF, maxF = math.Inf(1), math.Inf(-1)
-	for _, p := range n.DB.Points {
-		minS = math.Min(minS, p.MakespanMs)
-		maxS = math.Max(maxS, p.MakespanMs)
-		minF = math.Min(minF, p.Reliability)
-		maxF = math.Max(maxF, p.Reliability)
-	}
-	return minS, maxS, minF, maxF
-}
+func (n NamedDatabase) Envelope() (minS, maxS, minF, maxF float64) { return n.DB.Envelope() }
 
 // DefaultShards is the registry's default shard count. 32 keeps lock
 // contention negligible up to a few hundred concurrent requesters
@@ -369,17 +358,14 @@ func NewRegistry(dbs []NamedDatabase, shards int) (*Registry, error) {
 			return nil, fmt.Errorf("fleet: database %q: %w", db.Name, err)
 		}
 		db.build()
-		st := &dbState{
-			name: db.Name,
-			activeVer: r.met.Gauge("clr_evolve_active_version",
-				"Database version currently served, per cohort.", "db", db.Name),
-			candVer: r.met.Gauge("clr_evolve_candidate_version",
-				"Candidate database version being shadow-served, per cohort (0 when none).", "db", db.Name),
-			vtVer: r.met.Gauge("clr_cohort_table_version",
-				"Cohort value-table version currently active, per cohort (0 when none published).", "db", db.Name),
-		}
-		st.active.Store(&db)
-		st.activeVer.Set(int64(db.DB.Version))
+		st := &dbState{name: db.Name}
+		st.db.init((*NamedDatabase).stamp, r.met.Gauge("clr_evolve_active_version",
+			"Database version currently served, per cohort.", "db", db.Name))
+		st.candidate.init((*NamedDatabase).stamp, r.met.Gauge("clr_evolve_candidate_version",
+			"Candidate database version being shadow-served, per cohort (0 when none).", "db", db.Name))
+		st.vt.init(tableStamp, r.met.Gauge("clr_cohort_table_version",
+			"Cohort value-table version currently active, per cohort (0 when none published).", "db", db.Name))
+		st.db.set(&db)
 		r.dbs[db.Name] = st
 		r.names = append(r.names, db.Name)
 	}
@@ -478,11 +464,7 @@ func (r *Registry) shardFor(id string) *shard {
 // Databases lists the registered databases in registration order, each
 // at its currently active version.
 func (r *Registry) Databases() []NamedDatabase {
-	out := make([]NamedDatabase, 0, len(r.names))
-	for _, name := range r.names {
-		out = append(out, *r.dbs[name].active.Load())
-	}
-	return out
+	return eachCohort(r, func(st *dbState) NamedDatabase { return *st.db.load() })
 }
 
 // Register boots a manager for the device into the best feasible
@@ -493,11 +475,11 @@ func (r *Registry) Register(p DeviceParams) (*DeviceInfo, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	st, ok := r.dbs[p.Database]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoDatabase, p.Database)
+	st, err := r.cohort(p.Database)
+	if err != nil {
+		return nil, err
 	}
-	db := st.active.Load()
+	db := st.db.load()
 	// Build the manager outside the shard lock: boot scans the whole
 	// database, and nothing below can fail.
 	mgr, err := newManagerOn(db, p, p.Initial)
@@ -517,13 +499,8 @@ func (r *Registry) Register(p DeviceParams) (*DeviceInfo, error) {
 	// cohort-mates know beats what offline Monte-Carlo would guess.
 	// Failure to apply (uRA device, gamma mismatch, table bound to
 	// other database content) just boots the device without a prior.
-	if vt := st.vtActive.Load(); vt != nil && vt.DBFingerprint == db.fp {
-		if applied, err := mgr.ApplyValuePrior(vt); err == nil && applied {
-			d.vtMgr, d.vtApplied = mgr, vt
-			d.vtVersion.Store(vt.Version)
-			r.cohortPriors.Inc()
-		}
-	}
+	// The device is not yet visible, so no semaphore is needed.
+	r.syncValueTable(d)
 
 	sh := r.shardFor(p.ID)
 	sh.mu.Lock()
@@ -842,21 +819,28 @@ func (r *Registry) Get(id string) (*DeviceInfo, error) {
 
 // Remove deregisters the device.
 func (r *Registry) Remove(id string) error {
-	sh := r.shardFor(id)
-	sh.mu.Lock()
-	d, ok := sh.devices[id]
-	if ok {
-		delete(sh.devices, id)
+	d, err := r.detach(id)
+	if err != nil {
+		return err
 	}
-	sh.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoDevice, id)
-	}
-	r.devices.Add(-1)
 	if d.degraded.Load() {
 		r.degradedDev.Add(-1)
 	}
 	return nil
+}
+
+// detach unregisters the device and returns it.
+func (r *Registry) detach(id string) (*device, error) {
+	sh := r.shardFor(id)
+	sh.mu.Lock()
+	d, ok := sh.devices[id]
+	delete(sh.devices, id)
+	sh.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoDevice, id)
+	}
+	r.devices.Add(-1)
+	return d, nil
 }
 
 // Len returns the number of registered devices.

@@ -186,14 +186,20 @@ func (c *Cluster) Kill(ctx context.Context, i int) error {
 		http.Error(w, `{"error":"node down"}`, http.StatusServiceUnavailable)
 	})
 	cn.handler.Store(&down)
-	cn.alive = false
-	flip := map[string]bool{cn.ID: false}
+	return c.announce(ctx, i, false)
+}
+
+// announce records node i as alive or dead and has every other live
+// node flip it in its membership view.
+func (c *Cluster) announce(ctx context.Context, i int, alive bool) error {
+	c.Nodes[i].alive = alive
+	flip := map[string]bool{c.Nodes[i].ID: alive}
 	for j, other := range c.Nodes {
 		if j == i || !other.alive {
 			continue
 		}
 		if err := other.Node.SetStates(ctx, flip); err != nil {
-			return fmt.Errorf("fleettest: marking node %d dead on node %d: %w", i, j, err)
+			return fmt.Errorf("fleettest: marking node %d alive=%v on node %d: %w", i, alive, j, err)
 		}
 	}
 	return nil
@@ -222,17 +228,7 @@ func (c *Cluster) Restart(ctx context.Context, i int) error {
 			return fmt.Errorf("fleettest: seeding node %d membership: %w", i, err)
 		}
 	}
-	cn.alive = true
-	flip := map[string]bool{cn.ID: true}
-	for j, other := range c.Nodes {
-		if j == i || !other.alive {
-			continue
-		}
-		if err := other.Node.SetStates(ctx, flip); err != nil {
-			return fmt.Errorf("fleettest: marking node %d alive on node %d: %w", i, j, err)
-		}
-	}
-	return nil
+	return c.announce(ctx, i, true)
 }
 
 // JournalEntry is one decision-journal entry tagged with the node

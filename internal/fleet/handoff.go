@@ -155,18 +155,11 @@ func (r *Registry) ExportDevice(id string) (*DeviceState, error) {
 // decision this node ever acknowledged for the device, and no later
 // ones exist.
 func (r *Registry) ExportRemove(id string) (*DeviceState, error) {
-	sh := r.shardFor(id)
-	sh.mu.Lock()
-	d, ok := sh.devices[id]
-	if ok {
-		delete(sh.devices, id)
-	}
-	sh.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoDevice, id)
+	d, err := r.detach(id)
+	if err != nil {
+		return nil, err
 	}
 	st := r.exportState(d, true)
-	r.devices.Add(-1)
 	// Decrement from the bundle's own snapshot, not a re-read of the
 	// atomic: a degrade racing the export cannot skew the gauge away
 	// from what the importer will add back.
@@ -196,11 +189,11 @@ func (r *Registry) ImportDevice(st *DeviceState) error {
 	if err := p.validate(); err != nil {
 		return err
 	}
-	dbst, ok := r.dbs[p.Database]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoDatabase, p.Database)
+	dbst, err := r.cohort(p.Database)
+	if err != nil {
+		return err
 	}
-	db := dbst.active.Load()
+	db := dbst.db.load()
 	if st.DBVersion != db.DB.Version {
 		return fmt.Errorf("%w: %q bundle v%d, active v%d", ErrVersionSkew, p.ID, st.DBVersion, db.DB.Version)
 	}

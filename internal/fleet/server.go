@@ -559,32 +559,32 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 // candidate versions, the shadow window's agreement counters and the
 // most recent divergences. Query parameter db filters to one cohort.
 func (s *Server) handleEvolve(w http.ResponseWriter, r *http.Request) {
-	if name := r.URL.Query().Get("db"); name != "" {
-		st, err := s.reg.EvolveStatus(name)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, EvolveJSON{Databases: []EvolveStatus{st}})
-		return
-	}
-	writeJSON(w, http.StatusOK, EvolveJSON{Databases: s.reg.EvolveStatuses()})
+	serveStatuses(w, r, s.reg.EvolveStatus, s.reg.EvolveStatuses,
+		func(sts []EvolveStatus) any { return EvolveJSON{Databases: sts} })
 }
 
 // handleCohort serves the cohort-learning state: per-cohort value-table
 // version, epoch, fingerprints and aggregation provenance. Query
 // parameter db filters to one cohort.
 func (s *Server) handleCohort(w http.ResponseWriter, r *http.Request) {
-	if name := r.URL.Query().Get("db"); name != "" {
-		st, err := s.reg.ValueTableStatus(name)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, CohortJSON{Databases: []ValueTableStatus{st}})
+	serveStatuses(w, r, s.reg.ValueTableStatus, s.reg.ValueTableStatuses,
+		func(sts []ValueTableStatus) any { return CohortJSON{Databases: sts} })
+}
+
+// serveStatuses writes the status of the cohort named by query
+// parameter db, or of every cohort without one, wrapped by doc.
+func serveStatuses[T any](w http.ResponseWriter, r *http.Request, one func(string) (T, error), all func() []T, doc func([]T) any) {
+	name := r.URL.Query().Get("db")
+	if name == "" {
+		writeJSON(w, http.StatusOK, doc(all()))
 		return
 	}
-	writeJSON(w, http.StatusOK, CohortJSON{Databases: s.reg.ValueTableStatuses()})
+	st, err := one(name)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, doc([]T{st}))
 }
 
 // newHTTPServer applies the service's server-side timeouts.

@@ -116,14 +116,7 @@ func (st *SpecStream) Next(r *rng.Source) QoSSpec {
 // spread covers the database's metric ranges; the mild negative
 // correlation reflects alternating performance/reliability pressure.
 func ModelFromDatabase(db *dse.Database) QoSModel {
-	minS, maxS := math.Inf(1), math.Inf(-1)
-	minF, maxF := math.Inf(1), math.Inf(-1)
-	for _, p := range db.Points {
-		minS = math.Min(minS, p.MakespanMs)
-		maxS = math.Max(maxS, p.MakespanMs)
-		minF = math.Min(minF, p.Reliability)
-		maxF = math.Max(maxF, p.Reliability)
-	}
+	minS, maxS, minF, maxF := db.Envelope()
 	// Degenerate single-point databases still need a usable envelope.
 	if maxS == minS {
 		maxS = minS * 1.1
