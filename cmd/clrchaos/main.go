@@ -1,46 +1,43 @@
-// Command clrchaos soak-tests the fleet decision service under
-// deterministic fault injection. It runs the design-time flow once,
-// then drives the same fleet of simulated devices through the same
-// QoS event scripts twice: a fault-free reference pass, and a chaos
-// pass with the full fault schedule (dropped requests, latency
-// spikes, truncated and mangled response bodies, server-side
-// rejections, stalled and corrupted decision paths). The resilient
-// client masks the faults with retries; the command then asserts the
-// service's resilience invariants:
+// Command clrchaos soak-tests the fleet decision service on the
+// fleettest soak harness. It runs the design-time flow once, then
+// drives the same fleet of simulated devices through the same seeded
+// QoS event scripts twice: a reference pass on one fault-free node,
+// and a soak pass that attacks either the serving stack or cluster
+// membership:
 //
-//  1. no device state is lost — every device is still registered and
-//     has decided exactly its events,
-//  2. every QoS event was eventually answered with a real (non-
-//     degraded) decision,
-//  3. the accepted decision sequence is byte-identical to the
-//     fault-free reference pass.
-//  4. the decision journal is complete — every (device, seq) has
-//     exactly one non-degraded entry carrying a valid trace ID, so
-//     every answer the fleet gave can be explained after the fact.
+//   - by default one node runs under the full fault schedule (dropped
+//     requests, latency spikes, truncated and mangled response bodies,
+//     server-side rejections, stalled and corrupted decision paths),
+//     seeded by -chaos-seed and scaled by -intensity; the resilient
+//     client masks the faults with retries;
+//   - with -cluster N (N > 1), an N-node ring serves AuRA devices while
+//     a schedule seeded by -chaos-seed kills (drains) and restarts
+//     nodes between event rounds.
 //
-// Fault injection is seeded (-chaos-seed); the same seed reproduces
-// the identical fault schedule. The command exits non-zero if any
-// invariant is violated, which is how CI consumes it.
+// The harness's checker (fleettest.CheckSoak) then asserts the soak
+// invariants: every event answered byte-identically to the reference,
+// every device on exactly one node having decided exactly its events,
+// exactly one non-degraded journal entry under a valid trace ID per
+// (device, seq), and degraded answers only where faults were injected.
+// The command exits non-zero on any violation, which is how CI
+// consumes it.
 //
 // Usage:
 //
 //	clrchaos -devices 8 -events 40
 //	clrchaos -intensity 2 -chaos-seed 99 -decide-timeout 100ms
-//	clrchaos -journal-out /tmp/journal.json   # dump the chaos-pass journal
+//	clrchaos -cluster 3 -devices 6 -events 24
+//	clrchaos -journal-out /tmp/journal.json   # dump the soak pass's journal
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
-	"net"
 	"net/http"
 	"os"
-	"sync"
 	"time"
 
 	"clrdse/internal/chaos"
@@ -48,11 +45,10 @@ import (
 	"clrdse/internal/dse"
 	"clrdse/internal/fleet"
 	"clrdse/internal/fleet/client"
+	"clrdse/internal/fleet/fleettest"
 	"clrdse/internal/ga"
 	"clrdse/internal/obs"
 	"clrdse/internal/platform"
-	"clrdse/internal/rng"
-	"clrdse/internal/runtime"
 	"clrdse/internal/taskgraph"
 )
 
@@ -63,24 +59,21 @@ func main() {
 		pop   = flag.Int("pop", 28, "stage-1 GA population")
 		gens  = flag.Int("gens", 12, "stage-1 GA generations")
 
-		devices   = flag.Int("devices", 8, "simulated device count")
-		events    = flag.Int("events", 40, "QoS events per device")
-		specSeed  = flag.Int64("spec-seed", 7, "QoS event script seed")
-		chaosSeed = flag.Int64("chaos-seed", 99, "fault schedule seed")
-		intensity = flag.Float64("intensity", 1, "scales every fault probability")
-
-		attempts = flag.Int("attempts", 6, "client attempts per call")
-		attemptT = flag.Duration("attempt-timeout", 2*time.Second, "client per-attempt deadline")
-		decideTO = flag.Duration("decide-timeout", 250*time.Millisecond, "server per-decision deadline")
-		rounds   = flag.Int("max-rounds", 64, "driver re-submissions per event before giving up")
-		jout     = flag.String("journal-out", "", "write the chaos-pass decision journal JSON here (always when set, plus on any violation)")
-
-		clusterN = flag.Int("cluster", 0, "cluster soak mode: run an N-node ring and attack membership (seeded kill/restart) instead of the transport")
+		p    soakParams
+		jout = flag.String("journal-out", "", "write the soak pass's decision journal JSON here (always when set, plus on any violation)")
 	)
+	flag.IntVar(&p.devices, "devices", 8, "simulated device count")
+	flag.IntVar(&p.events, "events", 40, "QoS events per device")
+	flag.Int64Var(&p.specSeed, "spec-seed", 7, "QoS event script seed")
+	flag.Int64Var(&p.chaosSeed, "chaos-seed", 99, "fault schedule seed (kill/restart schedule seed with -cluster)")
+	flag.Float64Var(&p.intensity, "intensity", 1, "scales every fault probability")
+	flag.IntVar(&p.attempts, "attempts", 6, "client attempts per call")
+	flag.DurationVar(&p.attemptT, "attempt-timeout", 2*time.Second, "client per-attempt deadline")
+	flag.DurationVar(&p.decideTO, "decide-timeout", 250*time.Millisecond, "server per-decision deadline")
+	flag.IntVar(&p.nodes, "cluster", 0, "cluster soak mode: run an N-node ring and attack membership (seeded kill/restart) instead of the transport")
 	flag.Parse()
 
 	log := obs.NewLogger(os.Stderr)
-
 	plat := platform.Default()
 	app, err := taskgraph.Generate(taskgraph.GenParams{Seed: *seed, NumTasks: *tasks}, plat)
 	if err != nil {
@@ -97,344 +90,157 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	dbs := []fleet.NamedDatabase{{Name: "red", DB: sys.Database(), Space: sys.Problem.Space}}
+	p.dbs = []fleet.NamedDatabase{{Name: "red", DB: sys.Database(), Space: sys.Problem.Space}}
 
-	if *clusterN > 1 {
-		violations := 0
-		report := func(format string, args ...any) {
-			violations++
-			fmt.Printf("INVARIANT VIOLATED: "+format+"\n", args...)
-		}
-		log.Info("cluster soak starting", "nodes", *clusterN, "devices", *devices, "events", *events, "kill_seed", *chaosSeed)
-		err := runClusterSoak(clusterSoakParams{
-			dbs:      dbs,
-			nodes:    *clusterN,
-			devices:  *devices,
-			events:   *events,
-			specSeed: *specSeed,
-			killSeed: *chaosSeed,
-			attempts: *attempts,
-			attemptT: *attemptT,
-		}, report)
-		if err != nil {
-			fatal(err)
-		}
-		if violations > 0 {
-			fmt.Printf("\nFAIL: %d invariant violations\n", violations)
-			os.Exit(1)
-		}
-		fmt.Printf("\nOK: %d-node cluster survived seeded kill/restart; no device lost, no sequence answered twice, decisions byte-identical to single-node reference\n", *clusterN)
-		return
-	}
-
-	p := soakParams{
-		dbs:      dbs,
-		devices:  *devices,
-		events:   *events,
-		specSeed: *specSeed,
-		attempts: *attempts,
-		attemptT: *attemptT,
-		decideTO: *decideTO,
-		rounds:   *rounds,
-	}
-
-	log.Info("reference pass starting", "devices", *devices, "events", *events)
-	ref, err := runPass(p, nil)
+	log.Info("soak starting", "nodes", max(p.nodes, 1), "devices", p.devices, "events", p.events, "chaos_seed", p.chaosSeed)
+	res, violations, err := runSoak(p, os.Stdout)
 	if err != nil {
 		fatal(err)
 	}
-
-	inj := chaos.New(chaos.Config{
-		Seed:              *chaosSeed,
-		PDropRequest:      0.04 * *intensity,
-		PLatency:          0.04 * *intensity,
-		PDropResponse:     0.04 * *intensity,
-		PTruncateResponse: 0.03 * *intensity,
-		PMangleResponse:   0.03 * *intensity,
-		LatencyMin:        time.Millisecond,
-		LatencyMax:        10 * time.Millisecond,
-		PReject:           0.05 * *intensity,
-		PServerLatency:    0.04 * *intensity,
-		PStall:            0.04 * *intensity,
-		PCorrupt:          0.04 * *intensity,
-		StallMin:          *decideTO * 2,
-		StallMax:          *decideTO * 4,
-	})
-	log.Info("chaos pass starting", "devices", *devices, "events", *events, "chaos_seed", *chaosSeed)
-	cha, err := runPass(p, inj)
-	if err != nil {
-		fatal(err)
+	for _, v := range violations {
+		fmt.Printf("INVARIANT VIOLATED: %s\n", v)
 	}
-
-	violations := 0
-	report := func(format string, args ...any) {
-		violations++
-		fmt.Printf("INVARIANT VIOLATED: "+format+"\n", args...)
-	}
-	for d := 0; d < p.devices; d++ {
-		if cha.decided[d] != int64(p.events) {
-			report("device %d decided %d of %d events", d, cha.decided[d], p.events)
+	if *jout != "" || len(violations) > 0 {
+		// With no explicit path the journal lands in the working
+		// directory, so a failing CI run still leaves an artifact.
+		path := *jout
+		if path == "" {
+			path = "clrchaos-journal.json"
 		}
-		for i := 0; i < p.events; i++ {
-			r, c := ref.decisions[d][i], cha.decisions[d][i]
-			if c == "" {
-				report("device %d event %d never answered", d, i+1)
-				continue
-			}
-			if r != c {
-				report("device %d event %d diverged:\n  ref:   %s\n  chaos: %s", d, i+1, r, c)
-			}
-		}
-	}
-
-	// Invariant 4: the journal explains every decision exactly once.
-	// Replays are served from the cache without re-deciding, so even
-	// under chaos each (device, seq) gets one non-degraded entry;
-	// degraded fallbacks appear as extra flagged entries.
-	seen := make(map[string]int)
-	for _, e := range cha.journal {
-		if _, err := obs.ParseTraceID(string(e.TraceID)); err != nil {
-			report("journal entry %s seq %d has invalid trace ID %q", e.Device, e.Seq, e.TraceID)
-		}
-		if !e.Degraded {
-			seen[fmt.Sprintf("%s/%d", e.Device, e.Seq)]++
-		}
-	}
-	for d := 0; d < p.devices; d++ {
-		for i := 1; i <= p.events; i++ {
-			key := fmt.Sprintf("soak-%d/%d", d, i)
-			if n := seen[key]; n != 1 {
-				report("journal has %d non-degraded entries for %s, want exactly 1", n, key)
-			}
-			delete(seen, key)
-		}
-	}
-	for key, n := range seen {
-		report("journal has %d entries for unexpected decision %s", n, key)
-	}
-
-	fmt.Println()
-	fmt.Printf("faults injected:   %d\n", inj.Injected())
-	for _, k := range []chaos.Kind{
-		chaos.DropRequest, chaos.Latency, chaos.DropResponse,
-		chaos.TruncateResponse, chaos.MangleResponse,
-		chaos.Reject, chaos.ServerLatency, chaos.Stall, chaos.Corrupt,
-	} {
-		if n := inj.Count(k); n > 0 {
-			fmt.Printf("  %-18s %d\n", k.String()+":", n)
-		}
-	}
-	fmt.Printf("client retries:    %d\n", cha.stats.Retries)
-	fmt.Printf("breaker rejects:   %d\n", cha.stats.BreakerRejects)
-	fmt.Printf("degraded retried:  %d\n", cha.stats.DegradedRetries)
-	fmt.Printf("server replays:    %d\n", cha.replays)
-	fmt.Printf("server degraded:   %d\n", cha.degraded)
-	fmt.Printf("journal entries:   %d\n", len(cha.journal))
-
-	if *jout != "" || violations > 0 {
-		if err := dumpJournal(*jout, cha.journal); err != nil {
+		if err := obs.WriteJournal(path, res.Journal); err != nil {
 			log.Error("journal dump failed", "err", err)
+		} else {
+			fmt.Printf("decision journal written to %s\n", path)
 		}
 	}
-	if violations > 0 {
-		fmt.Printf("\nFAIL: %d invariant violations\n", violations)
+	if len(violations) > 0 {
+		fmt.Printf("\nFAIL: %d invariant violations\n", len(violations))
 		os.Exit(1)
 	}
-	fmt.Printf("\nOK: %d decisions byte-identical to the fault-free reference, all explained in the journal\n",
+	fmt.Printf("\nOK: %d decisions byte-identical to the single-node fault-free reference; no device lost, each explained exactly once in the journal\n",
 		p.devices*p.events)
 }
 
-// dumpJournal writes the journal as indented JSON for offline triage.
-// With no explicit path it falls back to a file in the working
-// directory so a failing CI run still leaves an artifact behind.
-func dumpJournal(path string, entries []obs.Entry) error {
-	if path == "" {
-		path = "clrchaos-journal.json"
-	}
-	b, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("decision journal written to %s\n", path)
-	return nil
-}
-
 type soakParams struct {
-	dbs      []fleet.NamedDatabase
-	devices  int
-	events   int
-	specSeed int64
-	attempts int
-	attemptT time.Duration
-	decideTO time.Duration
-	rounds   int
+	dbs                 []fleet.NamedDatabase
+	nodes               int
+	devices, events     int
+	specSeed, chaosSeed int64
+	intensity           float64
+	attempts            int
+	attemptT, decideTO  time.Duration
 }
 
-// passResult is one pass's accepted decisions and server-side stats.
-type passResult struct {
-	// decisions[d][i] is the canonical JSON of device d's decision for
-	// event i+1 ("" when the event was never answered).
-	decisions [][]string
-	// decided[d] is the server's per-device processed-event count.
-	decided []int64
-
-	replays, degraded int64
-	stats             client.Stats
-
-	// journal is the fleet-wide decision journal, snapshotted before
-	// the pass’s server shuts down.
-	journal []obs.Entry
-}
-
-// runPass boots a server (chaos-wrapped when inj is non-nil), drives
-// every device through its deterministic event script and collects the
-// accepted decisions. Each event is re-submitted — with its sequence
-// number, so the server decides it at most once — until a real
-// decision arrives.
-func runPass(p soakParams, inj *chaos.Injector) (*passResult, error) {
-	cfg := fleet.ServerConfig{
-		Databases:     p.dbs,
-		DecideTimeout: p.decideTO,
-		Logger:        slog.New(slog.NewTextHandler(io.Discard, nil)),
-	}
-	if inj != nil {
-		cfg.DecideHook = inj.DecideHook()
-	}
-	srv, err := fleet.NewServer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	handler := srv.Handler()
-	if inj != nil {
-		handler = inj.Middleware(handler)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	hs := &http.Server{Handler: handler}
-	done := make(chan error, 1)
-	go func() { done <- hs.Serve(l) }()
-	defer func() {
-		hs.Close()
-		<-done
-	}()
-
-	tr := http.DefaultTransport.(*http.Transport).Clone()
-	tr.MaxIdleConnsPerHost = p.devices
-	var rt http.RoundTripper = tr
-	if inj != nil {
-		rt = &chaos.Transport{Injector: inj, Base: tr}
-	}
-	c := client.New(client.Config{
-		BaseURL:        "http://" + l.Addr().String(),
-		Transport:      rt,
-		MaxAttempts:    p.attempts,
-		AttemptTimeout: p.attemptT,
-		JitterSeed:     p.specSeed,
-		RetryDegraded:  true,
-		// Under deliberately injected 503s a breaker that opens easily
-		// only adds rejection noise; the soak wants the retry path hot.
-		BreakerThreshold: 1 << 20,
-	})
+// runSoak runs the reference pass and the soak pass — one node under
+// the injector, or with nodes > 1 that many nodes under the seeded
+// membership schedule — prints the soak's activity to out, and returns
+// the soak pass's evidence with the checker's verdict on it.
+func runSoak(p soakParams, out io.Writer) (fleettest.SoakResult, []string, error) {
 	ctx := context.Background()
-
-	db := p.dbs[0]
-	_, maxS, minF, _ := db.Envelope()
-	model := runtime.ModelFromDatabase(db.DB)
-	root := rng.New(p.specSeed)
-	scripts := make([][]runtime.QoSSpec, p.devices)
-	for d := range scripts {
-		src := root.Split(int64(d))
-		stream := model.Stream()
-		scripts[d] = make([]runtime.QoSSpec, p.events)
-		for i := range scripts[d] {
-			scripts[d][i] = stream.Next(src)
-		}
+	scripts := fleettest.SplitScripts(p.dbs[0].DB, p.specSeed, p.devices, p.events)
+	opt := fleettest.ClusterOptions{Nodes: max(p.nodes, 1), Databases: p.dbs, DecideTimeout: p.decideTO}
+	var (
+		schedule []fleettest.SoakEvent
+		gamma    float64
+	)
+	if p.nodes > 1 {
+		schedule = fleettest.SoakSchedule(p.chaosSeed, p.events, p.nodes)
+		gamma = 0.9
+	} else {
+		opt.Injector = chaos.New(faults(p))
 	}
 
-	for d := 0; d < p.devices; d++ {
-		_, err := c.Register(ctx, fleet.RegisterRequest{
-			ID:       fmt.Sprintf("soak-%d", d),
-			Database: db.Name,
-			PRC:      0.5,
-			Trigger:  "on-violation",
-			Initial:  fleet.QoSSpecJSON{SMaxMs: maxS, FMin: minF},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("register soak-%d: %w", d, err)
-		}
-	}
-
-	res := &passResult{
-		decisions: make([][]string, p.devices),
-		decided:   make([]int64, p.devices),
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, p.devices)
-	for d := 0; d < p.devices; d++ {
-		res.decisions[d] = make([]string, p.events)
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			id := fmt.Sprintf("soak-%d", d)
-			for i, spec := range scripts[d] {
-				wire := fleet.QoSSpecJSON{SMaxMs: spec.SMaxMs, FMin: spec.FMin}
-				var dec *fleet.DecisionJSON
-				var err error
-				for round := 0; round < p.rounds; round++ {
-					dec, err = c.QoS(ctx, id, uint64(i+1), wire)
-					if err == nil {
-						break
-					}
-				}
-				if err != nil {
-					errs[d] = fmt.Errorf("%s event %d: %w", id, i+1, err)
-					return
-				}
-				res.decisions[d][i] = canonical(dec)
+	var c *client.Client // the latest pass's client
+	newClient := func(inj *chaos.Injector) func([]string) fleettest.SoakClient {
+		return func(urls []string) fleettest.SoakClient {
+			tr := http.DefaultTransport.(*http.Transport).Clone()
+			tr.MaxIdleConnsPerHost = p.devices
+			var rt http.RoundTripper = tr
+			if inj != nil {
+				rt = &chaos.Transport{Injector: inj, Base: tr}
 			}
-		}(d)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+			c = client.New(client.Config{
+				Targets:        urls,
+				Transport:      rt,
+				MaxAttempts:    p.attempts,
+				AttemptTimeout: p.attemptT,
+				JitterSeed:     p.specSeed,
+				RetryDegraded:  true,
+				// See fleettest.SoakClient: the soak wants the retry
+				// path hot, not breakers opening on deliberate faults.
+				BreakerThreshold: 1 << 20,
+			})
+			return c
 		}
 	}
 
-	for d := 0; d < p.devices; d++ {
-		info, err := srv.Registry().Get(fmt.Sprintf("soak-%d", d))
-		if err != nil {
-			return nil, fmt.Errorf("device soak-%d lost: %w", d, err)
-		}
-		res.decided[d] = info.Stats.Decisions
-		res.replays += info.Stats.Replays
-		res.degraded += info.Stats.Degraded
+	refOpt := opt
+	refOpt.Nodes, refOpt.Injector = 1, nil
+	ref, err := fleettest.RunSoak(ctx, refOpt, newClient(nil), gamma, scripts, nil)
+	if err != nil {
+		return ref, nil, fmt.Errorf("reference pass: %w", err)
 	}
-	res.stats = c.Stats()
-	// Snapshot before the deferred server teardown: the journal lives
-	// in the registry shards, which die with the server.
-	res.journal = srv.Registry().Decisions("", 0)
-	return res, nil
+	if len(schedule) > 0 {
+		fmt.Fprintf(out, "membership schedule (seed %d):\n", p.chaosSeed)
+		for _, ev := range schedule {
+			verb := "kill"
+			if ev.Restart {
+				verb = "restart"
+			}
+			fmt.Fprintf(out, "  round %-3d %s node-%d\n", ev.Round, verb, ev.Node)
+		}
+	}
+	got, err := fleettest.RunSoak(ctx, opt, newClient(opt.Injector), gamma, scripts, schedule)
+	if err != nil {
+		return got, nil, fmt.Errorf("soak pass: %w", err)
+	}
+
+	fmt.Fprintln(out)
+	if inj := opt.Injector; inj != nil {
+		fmt.Fprintf(out, "faults injected:   %d\n", inj.Injected())
+		for k := chaos.DropRequest; k <= chaos.Corrupt; k++ {
+			if n := inj.Count(k); n > 0 {
+				fmt.Fprintf(out, "  %-18s %d\n", k.String()+":", n)
+			}
+		}
+	}
+	st := c.Stats()
+	fmt.Fprintf(out, "client retries:    %d\n", st.Retries)
+	fmt.Fprintf(out, "client redirects:  %d\n", st.Redirects)
+	fmt.Fprintf(out, "breaker rejects:   %d\n", st.BreakerRejects)
+	fmt.Fprintf(out, "degraded retried:  %d\n", st.DegradedRetries)
+	fmt.Fprintf(out, "re-submissions:    %d\n", got.Resubmits)
+	fmt.Fprintf(out, "journal entries:   %d\n", len(got.Journal))
+	return got, fleettest.CheckSoak(ref, got), nil
 }
 
-// canonical renders a decision for byte-level comparison across runs.
-func canonical(d *fleet.DecisionJSON) string {
-	b, err := json.Marshal(d)
-	if err != nil {
-		return "marshal: " + err.Error()
+// faults is the single-node soak's fault schedule, every probability
+// scaled by the intensity; stalls outlive the decision deadline, so
+// they degrade.
+func faults(p soakParams) chaos.Config {
+	k := p.intensity
+	return chaos.Config{
+		Seed:              p.chaosSeed,
+		PDropRequest:      0.04 * k,
+		PLatency:          0.04 * k,
+		PDropResponse:     0.04 * k,
+		PTruncateResponse: 0.03 * k,
+		PMangleResponse:   0.03 * k,
+		LatencyMin:        time.Millisecond,
+		LatencyMax:        10 * time.Millisecond,
+		PReject:           0.05 * k,
+		PServerLatency:    0.04 * k,
+		PStall:            0.04 * k,
+		PCorrupt:          0.04 * k,
+		StallMin:          p.decideTO * 2,
+		StallMax:          p.decideTO * 4,
 	}
-	return string(b)
 }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "clrchaos:", err)
 	if errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintln(os.Stderr, "clrchaos: consider raising -attempt-timeout or -max-rounds")
+		fmt.Fprintln(os.Stderr, "clrchaos: consider raising -attempt-timeout")
 	}
 	os.Exit(1)
 }

@@ -63,31 +63,15 @@ const (
 	numKinds int = iota
 )
 
+var kindNames = [...]string{"none", "drop-request", "latency", "drop-response",
+	"truncate-response", "mangle-response", "reject", "server-latency", "stall", "corrupt"}
+
 // String names the fault kind for logs and reports.
 func (k Kind) String() string {
-	switch k {
-	case None:
-		return "none"
-	case DropRequest:
-		return "drop-request"
-	case Latency:
-		return "latency"
-	case DropResponse:
-		return "drop-response"
-	case TruncateResponse:
-		return "truncate-response"
-	case MangleResponse:
-		return "mangle-response"
-	case Reject:
-		return "reject"
-	case ServerLatency:
-		return "server-latency"
-	case Stall:
-		return "stall"
-	case Corrupt:
-		return "corrupt"
+	if k < 0 || int(k) >= len(kindNames) {
+		return "unknown"
 	}
-	return "unknown"
+	return kindNames[k]
 }
 
 // Scope identifies the layer an injection point lives in; each scope
@@ -103,16 +87,13 @@ const (
 	ScopeDecide
 )
 
+var scopeNames = [...]string{"transport", "server", "decide"}
+
 func (s Scope) String() string {
-	switch s {
-	case ScopeTransport:
-		return "transport"
-	case ScopeServer:
-		return "server"
-	case ScopeDecide:
-		return "decide"
+	if s < 0 || int(s) >= len(scopeNames) {
+		return "unknown"
 	}
-	return "unknown"
+	return scopeNames[s]
 }
 
 // ErrCorruptEntry is the decision-path error simulating a corrupted

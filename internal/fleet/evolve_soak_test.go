@@ -25,6 +25,7 @@ import (
 	"sync"
 	"testing"
 
+	"clrdse/internal/obs"
 	"clrdse/internal/rng"
 	"clrdse/internal/runtime"
 )
@@ -224,10 +225,7 @@ func deviceID(d int) string {
 // (when set) so CI can attach them to the run.
 func dumpEvolveArtifacts(t *testing.T, reg *Registry, shadow EvolveStatus) {
 	if path := os.Getenv("EVOLVE_JOURNAL_ARTIFACT"); path != "" {
-		b, err := json.MarshalIndent(reg.Decisions("", 0), "", "  ")
-		if err != nil {
-			t.Errorf("marshalling journal artifact: %v", err)
-		} else if err := os.WriteFile(path, b, 0o644); err != nil {
+		if err := obs.WriteJournal(path, reg.Decisions("", 0)); err != nil {
 			t.Errorf("writing journal artifact: %v", err)
 		} else {
 			t.Logf("decision journal written to %s", path)

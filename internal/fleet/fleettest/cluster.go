@@ -6,7 +6,8 @@ package fleettest
 // SIGTERM drain — the node hands every device to the survivors, stops
 // answering, and the peers mark it dead; "Restart" brings a fresh
 // server up on the same address and the peers rebalance its devices
-// back. The harness returns errors rather than taking a testing.TB so
+// back. With an injector the nodes also serve under chaos faults. The
+// harness returns errors rather than taking a testing.TB so
 // cmd/clrchaos can drive the same cluster outside `go test`.
 
 import (
@@ -19,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"clrdse/internal/chaos"
 	"clrdse/internal/cluster"
 	"clrdse/internal/fleet"
 	"clrdse/internal/obs"
@@ -47,6 +49,9 @@ type ClusterOptions struct {
 	AuthToken string
 	// Logger receives every node's logs (nil discards them).
 	Logger *slog.Logger
+	// Injector, when set, faults every node: its decide hook sits in
+	// the decision path and its middleware is the outermost handler.
+	Injector *chaos.Injector
 }
 
 // ClusterNode is one running member.
@@ -129,12 +134,17 @@ func NewCluster(opt ClusterOptions) (*Cluster, error) {
 // buildStack builds (or rebuilds, on Restart) node i's fleet server
 // and cluster layer and installs its handler.
 func (c *Cluster) buildStack(cn *ClusterNode, i int) error {
-	srv, err := fleet.NewServer(fleet.ServerConfig{
+	cfg := fleet.ServerConfig{
 		Databases:     c.opt.Databases,
 		DecideTimeout: c.opt.DecideTimeout,
 		TraceSeed:     c.opt.TraceSeed + int64(i),
 		Logger:        c.opt.Logger,
-	})
+	}
+	inj := c.opt.Injector
+	if inj != nil {
+		cfg.DecideHook = inj.DecideHook()
+	}
+	srv, err := fleet.NewServer(cfg)
 	if err != nil {
 		return fmt.Errorf("fleettest: cluster node %d server: %w", i, err)
 	}
@@ -153,6 +163,9 @@ func (c *Cluster) buildStack(cn *ClusterNode, i int) error {
 	srv.Wrap(node.Middleware)
 	cn.Srv, cn.Node = srv, node
 	h := srv.Handler()
+	if inj != nil {
+		h = inj.Middleware(h)
+	}
 	cn.handler.Store(&h)
 	return nil
 }
@@ -231,25 +244,15 @@ func (c *Cluster) Restart(ctx context.Context, i int) error {
 	return c.announce(ctx, i, true)
 }
 
-// JournalEntry is one decision-journal entry tagged with the node
-// hosting the copy.
-type JournalEntry struct {
-	Node  string
-	Entry obs.Entry
-}
-
 // Journal unions every live node's decision-journal snapshot — the
 // cluster-wide flight record. Entries a migration copied appear once
 // per hosting node; exactly-once assertions dedup identical entries
 // first.
-func (c *Cluster) Journal() []JournalEntry {
-	var out []JournalEntry
+func (c *Cluster) Journal() []obs.Entry {
+	var out []obs.Entry
 	for _, cn := range c.Nodes {
-		if !cn.alive {
-			continue
-		}
-		for _, e := range cn.Srv.Registry().Decisions("", 0) {
-			out = append(out, JournalEntry{Node: cn.ID, Entry: e})
+		if cn.alive {
+			out = append(out, cn.Srv.Registry().Decisions("", 0)...)
 		}
 	}
 	return out

@@ -137,7 +137,7 @@ func TestClusterHarness(t *testing.T) {
 	// The journal survived the membership churn.
 	found := false
 	for _, e := range clus.Journal() {
-		if e.Entry.Device == id {
+		if e.Device == id {
 			found = true
 		}
 	}

@@ -1,8 +1,10 @@
 // Package fleettest provides shared fixtures for tests that exercise
-// the fleet decision service from outside the fleet package (the
-// resilient client, the chaos soak). It runs the design-time flow once
-// per process on a small synthetic application and hands out the
-// resulting databases, plus deterministic QoS event scripts.
+// the fleet decision service from outside the fleet package: a
+// design-time fixture run once per process on a small synthetic
+// application, deterministic QoS event scripts, an in-process
+// multi-node cluster, the soak harness every soak runs on (the chaos
+// and membership soaks, in tests and in cmd/clrchaos) and the
+// cohort-AuRA A/B harness.
 package fleettest
 
 import (
@@ -32,18 +34,8 @@ var (
 	fixErr error
 )
 
-func get(tb testing.TB) fixture {
-	tb.Helper()
-	f, err := build()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return f
-}
-
 // build runs the design-time flow once per process. It is the
-// TB-free entry so non-test embedders (cmd/clrchaos cluster mode) can
-// share the fixture.
+// TB-free entry behind DatabasesE.
 func build() (fixture, error) {
 	once.Do(func() {
 		plat := platform.Default()
@@ -78,12 +70,16 @@ func build() (fixture, error) {
 // Databases returns the fixture's decision bases, named "red" (the
 // run-time-enriched database) and "based" (the stage-1 Pareto front).
 func Databases(tb testing.TB) []fleet.NamedDatabase {
-	f := get(tb)
-	return namedDBs(f)
+	tb.Helper()
+	dbs, err := DatabasesE()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return dbs
 }
 
-// DatabasesE is Databases for embedders without a testing.TB (the
-// clrchaos cluster soak).
+// DatabasesE is Databases for callers without a testing.TB:
+// NewCluster's default databases.
 func DatabasesE() ([]fleet.NamedDatabase, error) {
 	f, err := build()
 	if err != nil {
@@ -103,8 +99,13 @@ func namedDBs(f fixture) []fleet.NamedDatabase {
 // the database's satisfiable envelope: equal seeds yield identical
 // scripts, independent of scheduling.
 func Script(db *dse.Database, seed int64, events int) []runtime.QoSSpec {
+	return draw(db, rng.New(seed), events)
+}
+
+// draw draws events specifications from src through the database's
+// QoS model.
+func draw(db *dse.Database, src *rng.Source, events int) []runtime.QoSSpec {
 	q := runtime.ModelFromDatabase(db)
-	src := rng.New(seed)
 	stream := q.Stream()
 	specs := make([]runtime.QoSSpec, events)
 	for i := range specs {

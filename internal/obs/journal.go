@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/json"
+	"os"
 	"sync/atomic"
 )
 
@@ -107,4 +109,14 @@ func (j *Journal) Snapshot() []Entry {
 		}
 	}
 	return out
+}
+
+// WriteJournal writes entries to path as indented JSON: the decision
+// journal artifact the soaks leave behind for offline triage.
+func WriteJournal(path string, entries []Entry) error {
+	b, err := json.MarshalIndent(entries, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, b, 0o644)
 }
