@@ -1,10 +1,14 @@
 package mapping
 
 import (
+	"math"
 	"sync"
 	"testing"
 
+	"clrdse/internal/platform"
+	"clrdse/internal/relmodel"
 	"clrdse/internal/rng"
+	"clrdse/internal/taskgraph"
 )
 
 // randomMappings draws n valid mappings from the space.
@@ -47,23 +51,6 @@ func TestDRCMatrixMatchesDirect(t *testing.T) {
 			if got := m.Total(i, j); got != want {
 				t.Fatalf("matrix entry (%d,%d) = %v, direct DRC total = %v", i, j, got, want)
 			}
-		}
-	}
-}
-
-func TestDRCCacheMatchesDirect(t *testing.T) {
-	s := testSpace(t, 25)
-	set := randomMappings(s, 10, 29)
-	cache := NewDRCCache(s, set)
-	probes := randomMappings(s, 12, 31)
-	for i, m := range probes {
-		want := s.AvgDRCTo(m, set)
-		if got := cache.AvgDRC(m); got != want {
-			t.Fatalf("cached AvgDRC(probe %d) = %v, direct = %v", i, got, want)
-		}
-		// Memoised second call must return the identical value.
-		if got := cache.AvgDRC(m); got != want {
-			t.Fatalf("memoised AvgDRC(probe %d) = %v, direct = %v", i, got, want)
 		}
 	}
 }
@@ -120,5 +107,87 @@ func TestDiffStableAcrossCalls(t *testing.T) {
 				t.Fatalf("diff(%d,%d) of identical mappings = %v, want nil", i, j, first)
 			}
 		}
+	}
+}
+
+// TestDRCCacheMatchesDirect pins the frozen-set dRC kernel behind
+// DRCCache to the reference Space.AvgDRCTo, bit for bit, over
+// thousands of probes: random mappings, the set's own members, and
+// near-duplicates of members with one gene changed (where the two
+// directions of dRC differ in only a few terms). It covers the
+// default platform, a platform without PRRs, one that time-multiplexes
+// more circuits on a single PRR than fit one bitset word, and an empty
+// stored set.
+func TestDRCCacheMatchesDirect(t *testing.T) {
+	oneReconfigurable := func(p *platform.Platform) *platform.Platform {
+		q := *p
+		q.PEs = nil
+		for _, pe := range p.PEs {
+			if pe.PRR <= 0 {
+				q.PEs = append(q.PEs, pe)
+			}
+		}
+		q.PRRs = p.PRRs[:1]
+		return &q
+	}
+	noPRRs := func(p *platform.Platform) *platform.Platform {
+		q := *p
+		q.PEs = nil
+		for _, pe := range p.PEs {
+			if pe.PRR < 0 {
+				q.PEs = append(q.PEs, pe)
+			}
+		}
+		q.PRRs = nil
+		return &q
+	}
+	for _, c := range []struct {
+		name    string
+		plat    *platform.Platform
+		gen     taskgraph.GenParams
+		set     int
+		setSeed int64
+		words   int // bitset words per PRR the case must exercise
+	}{
+		{"default", platform.Default(), taskgraph.GenParams{Seed: 11, NumTasks: 25}, 10, 29, 1},
+		{"no-prrs", noPRRs(platform.Default()), taskgraph.GenParams{Seed: 12, NumTasks: 25}, 10, 47, 1},
+		{"one-prr-many-circuits", oneReconfigurable(platform.Default()),
+			taskgraph.GenParams{Seed: 13, NumTasks: 120, NumTaskTypes: 90, AccelProb: 1}, 6, 47, 2},
+		{"empty-set", platform.Default(), taskgraph.GenParams{Seed: 14, NumTasks: 25}, 0, 47, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.plat.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			g, err := taskgraph.Generate(c.gen, c.plat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := &Space{Graph: g, Platform: c.plat, Catalogue: relmodel.DefaultCatalogue()}
+			set := randomMappings(s, c.set, c.setSeed)
+			probes := append(randomMappings(s, 800, 31), set...)
+			r := rng.New(59)
+			for _, o := range set {
+				for k := 0; k < 25; k++ {
+					near := o.Clone()
+					tk := r.Intn(len(near.Genes))
+					near.Genes[tk] = s.Random(r).Genes[tk]
+					probes = append(probes, near)
+				}
+			}
+			cache := NewDRCCache(s, set)
+			if cache.set.words != c.words {
+				t.Fatalf("%d bitset words per PRR, want %d", cache.set.words, c.words)
+			}
+			for i, m := range probes {
+				want := s.AvgDRCTo(m, set)
+				for rep := 0; rep < 2; rep++ { // computed, then memoised
+					if got := cache.AvgDRC(m); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("AvgDRC(probe %d) = %v (%#x), AvgDRCTo = %v (%#x)",
+							i, got, math.Float64bits(got), want, math.Float64bits(want))
+					}
+				}
+			}
+		})
 	}
 }

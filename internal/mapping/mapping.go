@@ -138,18 +138,77 @@ func (s *Space) CompatiblePEs(task, impl int) []int {
 func (s *Space) RunnableImpls(task int) []int {
 	var out []int
 	for i := range s.Graph.Tasks[task].Impls {
-		if len(s.CompatiblePEs(task, i)) > 0 {
+		if s.numCompatiblePEs(task, i) > 0 {
 			out = append(out, i)
 		}
 	}
 	return out
 }
 
+// The genome operators below draw from CompatiblePEs and RunnableImpls
+// once per gene. They count the candidates, draw r.Intn(count) exactly
+// as indexing the returned slice would, and walk to the k-th match, so
+// the random stream and the chosen gene are those of the slice-based
+// form without its allocations.
+
+// numCompatiblePEs returns len(s.CompatiblePEs(task, impl)).
+func (s *Space) numCompatiblePEs(task, impl int) int {
+	typ, n := s.Graph.Tasks[task].Impls[impl].PEType, 0
+	for i := range s.Platform.PEs {
+		if s.Platform.PEs[i].Type == typ {
+			n++
+		}
+	}
+	return n
+}
+
+// RandomPE returns a uniformly drawn element of CompatiblePEs(task,
+// impl), consuming one r.Intn draw. It panics if there is none.
+func (s *Space) RandomPE(task, impl int, r *rng.Source) int {
+	typ := s.Graph.Tasks[task].Impls[impl].PEType
+	k := r.Intn(s.numCompatiblePEs(task, impl))
+	for i := range s.Platform.PEs {
+		if pe := &s.Platform.PEs[i]; pe.Type == typ {
+			if k == 0 {
+				return pe.ID
+			}
+			k--
+		}
+	}
+	panic("mapping: no compatible PE") // unreachable: Intn(0) panics first
+}
+
+// numRunnableImpls returns len(s.RunnableImpls(task)).
+func (s *Space) numRunnableImpls(task int) int {
+	n := 0
+	for i := range s.Graph.Tasks[task].Impls {
+		if s.numCompatiblePEs(task, i) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// RandomImpl returns a uniformly drawn element of RunnableImpls(task),
+// consuming one r.Intn draw. It panics if there is none.
+func (s *Space) RandomImpl(task int, r *rng.Source) int {
+	k := r.Intn(s.numRunnableImpls(task))
+	for i := range s.Graph.Tasks[task].Impls {
+		if s.numCompatiblePEs(task, i) > 0 {
+			if k == 0 {
+				return i
+			}
+			k--
+		}
+	}
+	panic("mapping: no runnable implementation") // unreachable: Intn(0) panics first
+}
+
 // Check reports whether every task has at least one runnable
 // implementation, i.e. whether any valid mapping exists at all.
 func (s *Space) Check() error {
 	for t := range s.Graph.Tasks {
-		if len(s.RunnableImpls(t)) == 0 {
+		if s.numRunnableImpls(t) == 0 {
 			return fmt.Errorf("mapping: task %d has no implementation runnable on platform %q", t, s.Platform.Name)
 		}
 	}
@@ -173,14 +232,12 @@ func (s *Space) Random(r *rng.Source) *Mapping {
 // t, leaving Prio untouched. It panics if the task has no runnable
 // implementation; callers gate on Check.
 func (s *Space) randomizeGene(m *Mapping, t int, r *rng.Source) {
-	runnable := s.RunnableImpls(t)
-	if len(runnable) == 0 {
+	if s.numRunnableImpls(t) == 0 {
 		panic(fmt.Sprintf("mapping: task %d has no runnable implementation (call Space.Check first)", t))
 	}
-	impl := runnable[r.Intn(len(runnable))]
-	pes := s.CompatiblePEs(t, impl)
+	impl := s.RandomImpl(t, r)
 	m.Genes[t].Impl = impl
-	m.Genes[t].PE = pes[r.Intn(len(pes))]
+	m.Genes[t].PE = s.RandomPE(t, impl, r)
 	m.Genes[t].CLR = relmodel.ConfigFromIndex(r.Intn(s.Catalogue.NumConfigs()), s.Catalogue)
 }
 
@@ -193,9 +250,8 @@ func (s *Space) Repair(m *Mapping, r *rng.Source) {
 	for t := range m.Genes {
 		g := &m.Genes[t]
 		impls := s.Graph.Tasks[t].Impls
-		if g.Impl < 0 || g.Impl >= len(impls) || len(s.CompatiblePEs(t, g.Impl)) == 0 {
-			runnable := s.RunnableImpls(t)
-			g.Impl = runnable[r.Intn(len(runnable))]
+		if g.Impl < 0 || g.Impl >= len(impls) || s.numCompatiblePEs(t, g.Impl) == 0 {
+			g.Impl = s.RandomImpl(t, r)
 		}
 		if g.CLR.HW < 0 || g.CLR.HW >= len(s.Catalogue.HW) {
 			g.CLR.HW = r.Intn(len(s.Catalogue.HW))
@@ -208,8 +264,7 @@ func (s *Space) Repair(m *Mapping, r *rng.Source) {
 		}
 		if g.PE < 0 || g.PE >= s.Platform.NumPEs() ||
 			impls[g.Impl].PEType != s.Platform.PEs[g.PE].Type {
-			pes := s.CompatiblePEs(t, g.Impl)
-			g.PE = pes[r.Intn(len(pes))]
+			g.PE = s.RandomPE(t, g.Impl, r)
 		}
 		if g.Prio < 0 {
 			g.Prio = -g.Prio

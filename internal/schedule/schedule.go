@@ -20,11 +20,13 @@ package schedule
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"clrdse/internal/mapping"
 	"clrdse/internal/plot"
 	"clrdse/internal/relmodel"
+	"clrdse/internal/taskgraph"
 )
 
 // Slot is one task's placement in the computed schedule.
@@ -128,40 +130,25 @@ func (e *Evaluator) run(m *mapping.Mapping, durOverride []float64) (*Result, err
 		}
 	}
 
-	// Priority-driven list scheduling.
-	preds := g.Preds()
-	succs := g.Succs()
-	remaining := make([]int, n) // unscheduled predecessor count
-	dataReady := make([]float64, n)
+	// Priority-driven list scheduling over pooled scratch: the
+	// adjacency is rebuilt from g.Edges on every call (the graph may
+	// change under a live evaluator), but into reused buffers.
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.reset(n, plat.NumPEs())
+	sc.adjacency(g)
+	remaining, dataReady := sc.remaining, sc.dataReady
+	peAvail, peLastBitstream := sc.peAvail, sc.peLastBitstream
 	for t := 0; t < n; t++ {
-		remaining[t] = len(preds[t])
-	}
-	peAvail := make([]float64, plat.NumPEs())
-	peLastBitstream := make([]int, plat.NumPEs())
-	for i := range peLastBitstream {
-		peLastBitstream[i] = -1
-	}
-	// Ready list ordered by (priority desc, task ID asc) for
-	// determinism.
-	var ready []int
-	push := func(t int) { ready = append(ready, t) }
-	for t := 0; t < n; t++ {
+		remaining[t] = sc.predOff[t+1] - sc.predOff[t]
 		if remaining[t] == 0 {
-			push(t)
+			sc.ready = append(sc.ready, t)
 		}
 	}
 	scheduled := 0
 	busAvail := 0.0
-	for len(ready) > 0 {
-		sort.Slice(ready, func(a, b int) bool {
-			pa, pb := m.Genes[ready[a]].Prio, m.Genes[ready[b]].Prio
-			if pa != pb {
-				return pa > pb
-			}
-			return ready[a] < ready[b]
-		})
-		t := ready[0]
-		ready = ready[1:]
+	for len(sc.ready) > 0 {
+		t := sc.popReady(m)
 
 		gene := m.Genes[t]
 		slot := &res.Slots[t]
@@ -169,7 +156,7 @@ func (e *Evaluator) run(m *mapping.Mapping, durOverride []float64) (*Result, err
 			// Cross-PE transfers serialise on the shared interconnect
 			// in scheduling order; every predecessor is already placed
 			// when the list scheduler reaches t.
-			for _, eid := range preds[t] {
+			for _, eid := range sc.predEdge[sc.predOff[t]:sc.predOff[t+1]] {
 				edge := g.Edges[eid]
 				arrive := res.Slots[edge.Src].EndMs
 				if m.Genes[edge.Src].PE != gene.PE {
@@ -204,7 +191,7 @@ func (e *Evaluator) run(m *mapping.Mapping, durOverride []float64) (*Result, err
 		peAvail[gene.PE] = slot.EndMs
 		scheduled++
 
-		for _, eid := range succs[t] {
+		for _, eid := range sc.succEdge[sc.succOff[t]:sc.succOff[t+1]] {
 			edge := g.Edges[eid]
 			if !e.ContentionAware {
 				arrive := slot.EndMs
@@ -217,7 +204,7 @@ func (e *Evaluator) run(m *mapping.Mapping, durOverride []float64) (*Result, err
 			}
 			remaining[edge.Dst]--
 			if remaining[edge.Dst] == 0 {
-				push(edge.Dst)
+				sc.ready = append(sc.ready, edge.Dst)
 			}
 		}
 	}
@@ -238,32 +225,44 @@ func (e *Evaluator) run(m *mapping.Mapping, durOverride []float64) (*Result, err
 			res.MTTFMs = s.Metrics.MTTFMs
 		}
 	}
-	res.PeakPowerW = peakPower(res.Slots)
+	res.PeakPowerW = peakPower(res.Slots, sc)
 	res.MeetsPeriod = res.MakespanMs <= g.PeriodMs
 	return res, nil
 }
 
+// powerEvent is one task's power step at its start (+W) or end (-W).
+type powerEvent struct {
+	at    float64
+	delta float64
+}
+
 // peakPower sweeps the schedule's start/end events and returns the
 // maximum instantaneous sum of active task powers (Eq. 3's W_app).
-func peakPower(slots []Slot) float64 {
-	type event struct {
-		at    float64
-		delta float64
-	}
-	evs := make([]event, 0, 2*len(slots))
+// Events tied on both keys are interchangeable, so any sort yields the
+// same sum.
+func peakPower(slots []Slot, sc *scratch) float64 {
+	evs := sc.events[:0]
 	for i := range slots {
 		evs = append(evs,
-			event{slots[i].StartMs, slots[i].Metrics.PowerW},
-			event{slots[i].EndMs, -slots[i].Metrics.PowerW},
+			powerEvent{slots[i].StartMs, slots[i].Metrics.PowerW},
+			powerEvent{slots[i].EndMs, -slots[i].Metrics.PowerW},
 		)
 	}
-	sort.Slice(evs, func(a, b int) bool {
-		if evs[a].at != evs[b].at {
-			return evs[a].at < evs[b].at
-		}
+	sc.events = evs
+	slices.SortFunc(evs, func(a, b powerEvent) int {
+		switch {
+		case a.at < b.at:
+			return -1
+		case a.at > b.at:
+			return 1
 		// Process departures before arrivals at equal timestamps so
 		// back-to-back tasks on one PE do not double-count.
-		return evs[a].delta < evs[b].delta
+		case a.delta < b.delta:
+			return -1
+		case a.delta > b.delta:
+			return 1
+		}
+		return 0
 	})
 	cur, peak := 0.0, 0.0
 	for _, ev := range evs {
@@ -273,6 +272,94 @@ func peakPower(slots []Slot) float64 {
 		}
 	}
 	return peak
+}
+
+// scratch is the per-call working state of the list scheduler, pooled
+// because the GA's evaluation goroutines schedule thousands of genomes
+// per second. Result and its Slots are not part of it: they are the
+// memoised payload handed to the caller.
+type scratch struct {
+	remaining       []int // unscheduled predecessor count per task
+	dataReady       []float64
+	peAvail         []float64
+	peLastBitstream []int
+	ready           []int
+	// predOff/predEdge and succOff/succEdge are the graph's incoming
+	// and outgoing edge IDs in CSR form, each task's run in g.Edges
+	// order (the order Graph.Preds and Graph.Succs list them in).
+	predOff, succOff   []int
+	predEdge, succEdge []int
+	events             []powerEvent
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// grow returns s resized to n elements, reusing its backing array.
+func grow[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// reset sizes the buffers for n tasks on nPE processing elements and
+// restores their initial values.
+func (sc *scratch) reset(n, nPE int) {
+	sc.remaining = grow(sc.remaining, n)
+	sc.dataReady = grow(sc.dataReady, n)
+	clear(sc.dataReady)
+	sc.peAvail = grow(sc.peAvail, nPE)
+	clear(sc.peAvail)
+	sc.peLastBitstream = grow(sc.peLastBitstream, nPE)
+	for i := range sc.peLastBitstream {
+		sc.peLastBitstream[i] = -1
+	}
+	sc.ready = sc.ready[:0]
+}
+
+// adjacency builds the CSR predecessor and successor lists of g.
+func (sc *scratch) adjacency(g *taskgraph.Graph) {
+	n := g.NumTasks()
+	sc.predOff = grow(sc.predOff, n+1)
+	sc.succOff = grow(sc.succOff, n+1)
+	clear(sc.predOff)
+	clear(sc.succOff)
+	for i := range g.Edges {
+		sc.predOff[g.Edges[i].Dst+1]++
+		sc.succOff[g.Edges[i].Src+1]++
+	}
+	for t := 0; t < n; t++ {
+		sc.predOff[t+1] += sc.predOff[t]
+		sc.succOff[t+1] += sc.succOff[t]
+	}
+	sc.predEdge = grow(sc.predEdge, len(g.Edges))
+	sc.succEdge = grow(sc.succEdge, len(g.Edges))
+	// Fill each run front to back, using remaining as the cursor.
+	copy(sc.remaining, sc.predOff[:n])
+	for i := range g.Edges {
+		e := &g.Edges[i]
+		sc.predEdge[sc.remaining[e.Dst]] = e.ID
+		sc.remaining[e.Dst]++
+	}
+	copy(sc.remaining, sc.succOff[:n])
+	for i := range g.Edges {
+		e := &g.Edges[i]
+		sc.succEdge[sc.remaining[e.Src]] = e.ID
+		sc.remaining[e.Src]++
+	}
+}
+
+// popReady removes and returns the ready task first under (priority
+// desc, task ID asc). That order is total over distinct task IDs, so a
+// linear scan picks exactly the task a full sort would put first.
+func (sc *scratch) popReady(m *mapping.Mapping) int {
+	best := 0
+	for i := 1; i < len(sc.ready); i++ {
+		a, b := sc.ready[i], sc.ready[best]
+		if pa, pb := m.Genes[a].Prio, m.Genes[b].Prio; pa > pb || (pa == pb && a < b) {
+			best = i
+		}
+	}
+	t := sc.ready[best]
+	last := len(sc.ready) - 1
+	sc.ready[best] = sc.ready[last]
+	sc.ready = sc.ready[:last]
+	return t
 }
 
 // Gantt renders the schedule as an SVG lane chart, one lane per PE,

@@ -2,7 +2,9 @@ package schedule
 
 import (
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -451,4 +453,57 @@ func TestGanttRendering(t *testing.T) {
 			t.Errorf("gantt missing %q", want)
 		}
 	}
+}
+
+// TestScratchReuseAcrossEvaluators guards the pooled scheduler scratch:
+// evaluators of different graph sizes and both communication models
+// share one pool from concurrent goroutines, and every schedule must
+// equal the one computed in isolation — no buffer contents may leak
+// from one call into the next.
+func TestScratchReuseAcrossEvaluators(t *testing.T) {
+	type job struct {
+		ev  *Evaluator
+		m   *mapping.Mapping
+		ref *Result
+	}
+	var jobs []job
+	r := rng.New(13)
+	for _, n := range []int{40, 7, 23} {
+		for _, contention := range []bool{false, true} {
+			ev := testEvaluator(t, n)
+			ev.ContentionAware = contention
+			for i := 0; i < 5; i++ {
+				jobs = append(jobs, job{ev: ev, m: ev.Space.Random(r)})
+			}
+		}
+	}
+	for i := range jobs {
+		ref, err := jobs[i].ev.Evaluate(jobs[i].m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i].ref = ref
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for rep := 0; rep < 10; rep++ {
+				for i := range jobs {
+					j := &jobs[(i*7+w+rep)%len(jobs)]
+					got, err := j.ev.Evaluate(j.m)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !reflect.DeepEqual(got, j.ref) {
+						t.Errorf("worker %d: schedule differs from its isolated evaluation", w)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -3,7 +3,7 @@
 # results for regression tracking.
 #
 # Usage:
-#   scripts/bench.sh                          # hot-path set, label "run"
+#   scripts/bench.sh                          # hot-path and design-time set, label "run"
 #   scripts/bench.sh 'BenchmarkReD$' optimized
 #   scripts/bench.sh 'BenchmarkDecide$' ci-smoke 15   # gate at 15%
 #
@@ -35,7 +35,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-pat="${1:-BenchmarkDRC\$|BenchmarkDecide\$|BenchmarkReD\$|BenchmarkFleetDecisionThroughput\$|BenchmarkFleetDecisionThroughputLargeDB\$|BenchmarkFleetBatchThroughput\$|BenchmarkShadowDecide\$}"
+pat="${1:-BenchmarkDRC\$|BenchmarkDecide\$|BenchmarkReD\$|BenchmarkScheduleEvaluate\$|BenchmarkGAGeneration\$|BenchmarkFleetDecisionThroughput\$|BenchmarkFleetDecisionThroughputLargeDB\$|BenchmarkFleetBatchThroughput\$|BenchmarkShadowDecide\$}"
 label="${2:-run}"
 gate="${3:-0}" # max tolerated ns/op regression in percent; 0 = warn only
 
